@@ -13,13 +13,12 @@
 //     SHA extensions the hardware compression kernel replaces the portable
 //     scalar loop. Digests are bit-identical either way.
 //
-// Cells reconstruct the seed path as an ablation knob: a from-scratch HMAC
-// per tag (fresh key-pad compressions, exactly what the stateless
-// hmac_sha256 reference does), kernel-pinned so midstate and dispatch gains
-// are measured separately. Throughputs are machine-dependent and recorded
-// as timings (outside the deterministic report part); every cell also
-// cross-checks digests/tags across paths as deterministic scalars, so the
-// JSON asserts bit-equality on any machine.
+// The 'seed' cells time the stateless hmac_sha256/hmac_tag reference: a
+// from-scratch HMAC per tag (fresh key-pad compressions), kernel-pinned so
+// midstate and dispatch gains are measured separately. Throughputs are
+// machine-dependent and recorded as timings (outside the deterministic
+// report part); every cell also cross-checks digests/tags across paths as
+// deterministic scalars, so the JSON asserts bit-equality on any machine.
 #include <chrono>
 #include <cstring>
 
@@ -93,9 +92,8 @@ enum class TagPath {
 
 /// Tags/s over a fixed message split as head||body (body may be empty).
 /// The seed path is the stateless hmac_sha256 reference — both key-pad
-/// compressions recomputed per tag, exactly what KeyTable::set_midstate(false)
-/// falls back to — with the kernel pinned so midstate gain is isolated from
-/// dispatch gain.
+/// compressions recomputed per tag — with the kernel pinned so midstate gain
+/// is isolated from dispatch gain.
 exp::Metrics run_tags(TagPath path, crypto::Sha256Kernel kernel, std::size_t head_bytes,
                       std::size_t body_bytes, std::size_t iters, std::uint64_t seed) {
   const auto key = bench_key(seed);
@@ -133,19 +131,22 @@ exp::Metrics run_tags(TagPath path, crypto::Sha256Kernel kernel, std::size_t hea
 // ---------- Hash-once fan-out: re-sign one message toward K peers -----------
 
 /// A node re-signing one message toward K peers. Seed path: per peer, build
-/// the concatenated auth buffer and run a from-scratch HMAC (what per-peer
-/// auth_bytes + stateless hmac did). Fast path: encode the head once into a
-/// stack buffer and run K midstate HMACs streaming head||payload.
+/// the concatenated auth buffer and run the stateless hmac_tag on the raw
+/// pairwise key (what per-peer auth_bytes + stateless hmac did). Fast path:
+/// encode the head once into a stack buffer and run K midstate HMACs
+/// streaming head||payload.
 exp::Metrics run_fanout(bool fast, std::size_t fanout, std::size_t head_bytes,
                         std::size_t body_bytes, std::size_t iters, std::uint64_t seed) {
   const auto master = bench_key(seed);
   const auto n = static_cast<std::uint32_t>(fanout + 1);
   crypto::KeyTable table{master, /*self=*/0, n};
-  crypto::KeyTable seed_table{master, /*self=*/0, n};
-  seed_table.set_midstate(false);
 
   std::vector<crypto::MacContext> ctxs;
-  for (std::uint32_t p = 1; p < n; ++p) ctxs.push_back(table.context(p));
+  std::vector<crypto::Key> pair_keys;
+  for (std::uint32_t p = 1; p < n; ++p) {
+    ctxs.push_back(table.context(p));
+    pair_keys.push_back(crypto::derive_pair_key(master, /*a=*/0, p));
+  }
 
   const auto head = bench_bytes(head_bytes, seed * 3 + 1);
   const auto body = bench_bytes(body_bytes, seed * 5 + 2);
@@ -156,7 +157,7 @@ exp::Metrics run_fanout(bool fast, std::size_t fanout, std::size_t head_bytes,
     std::vector<std::uint8_t> concat = head;
     concat.insert(concat.end(), body.begin(), body.end());
     agree = agree && (ctxs[p - 1].sign(std::span{head}, std::span{body}) ==
-                      seed_table.sign(p, std::span{concat}));
+                      crypto::hmac_tag(pair_keys[p - 1], concat));
   }
 
   std::uint8_t sink = 0;
@@ -171,7 +172,7 @@ exp::Metrics run_fanout(bool fast, std::size_t fanout, std::size_t head_bytes,
         std::vector<std::uint8_t> concat(head.size() + body.size());
         std::memcpy(concat.data(), head.data(), head.size());
         std::memcpy(concat.data() + head.size(), body.data(), body.size());
-        sink ^= seed_table.sign(p, std::span{concat})[0];
+        sink ^= crypto::hmac_tag(pair_keys[p - 1], concat)[0];
       }
     }
   }

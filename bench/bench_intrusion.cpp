@@ -21,14 +21,16 @@
 // Part 3 (ITHOP): per-hop auth cost of IT forwarding — verify the arriving
 //   tag against the ingress peer's key + re-sign toward the egress peer —
 //   measured before/after the crypto fast path (HMAC midstate caching +
-//   dispatched SHA-256 vs the seed from-scratch HMAC). Wall-clock, so the
-//   ns/hop numbers are machine-dependent timings; the two paths' re-signed
-//   tags are cross-checked bit-identical as a deterministic scalar.
+//   dispatched SHA-256 vs the seed from-scratch HMAC, rebuilt here from
+//   auth_bytes and hmac_tag). Wall-clock, so the ns/hop numbers are
+//   machine-dependent timings; the two paths' re-signed tags are
+//   cross-checked bit-identical as a deterministic scalar.
 #include <chrono>
 #include <map>
 
 #include "bench_common.hpp"
 #include "client/traffic.hpp"
+#include "crypto/keys.hpp"
 #include "crypto/sha256.hpp"
 #include "overlay/network.hpp"
 
@@ -183,12 +185,12 @@ exp::Metrics run_fairness(bool fair, Duration traffic_time, std::uint64_t seed) 
 
 // ---------- Part 3: per-hop auth cost, crypto fast path vs seed path --------
 
+using ForwardAuthResult = overlay::OverlayNode::ForwardAuthResult;
+
 /// One settled authenticated transit node; time verify + re-sign per
-/// forwarded message via the bench hook. kFast = midstate-cached MacContext
-/// handles (the live path); kSeed = from-scratch HMAC with a per-frame key
-/// table lookup (the pre-fast-path implementation, kept as the ablation).
-exp::Metrics run_perhop(overlay::OverlayNode::BenchAuthPath path,
-                        std::size_t payload_bytes, std::size_t iters,
+/// forwarded message. fast_path = the node's bench hook over midstate-cached
+/// MacContext handles (the live path); otherwise the seed reference below.
+exp::Metrics run_perhop(bool fast_path, std::size_t payload_bytes, std::size_t iters,
                         std::uint64_t seed) {
   sim::Simulator sim;
   overlay::GraphOptions gopts;
@@ -208,20 +210,39 @@ exp::Metrics run_perhop(overlay::OverlayNode::BenchAuthPath path,
   const overlay::LinkBit ingress = node.link_bits().front();
   const crypto::Tag in_auth = node.bench_make_arrival_tag(m, ingress);
 
-  // Deterministic cross-check: both paths verify and produce the same tag.
-  const auto fast =
-      node.bench_forward_lookup(m, ingress, &in_auth,
-                                overlay::OverlayNode::BenchAuthPath::kFast);
-  const auto ablation =
-      node.bench_forward_lookup(m, ingress, &in_auth,
-                                overlay::OverlayNode::BenchAuthPath::kSeed);
-  const bool agree = fast.verified && ablation.verified &&
-                     fast.resigned == ablation.resigned && fast.egress == ablation.egress;
+  // The route leaves on a link other than the ingress, so the egress key is
+  // the routed link's pair key; the cross-check below fails loudly if not.
+  const ForwardAuthResult fast = node.bench_forward_lookup(m, ingress, &in_auth);
+  const topo::Graph& g = node.topology().base_graph();
+  const auto pair_key = [&](overlay::LinkBit b) {
+    return crypto::derive_pair_key(gopts.node.master_key, node.id(), g.other_end(b, node.id()));
+  };
+  const crypto::Key in_key = pair_key(ingress);
+  const crypto::Key out_key = pair_key(fast.egress);
+  // The seed per-hop path, rebuilt from public pieces: the routing lookup,
+  // then a heap-serialized auth_bytes buffer and a from-scratch HMAC per tag
+  // on the raw pair keys. Pinned to the scalar kernel: the seed predates
+  // runtime SHA-256 dispatch, so the hardware kernel must not leak into the
+  // baseline.
+  const auto seed_forward = [&]() {
+    constexpr auto kSeedKernel = crypto::Sha256Kernel::kScalar;
+    ForwardAuthResult res;
+    res.egress = node.router().next_hop(m.hdr.dest.node);
+    const auto bytes = overlay::auth_bytes(m);
+    res.verified = crypto::verify_tag(crypto::hmac_tag(in_key, bytes, kSeedKernel), in_auth);
+    res.resigned = crypto::hmac_tag(out_key, bytes, kSeedKernel);
+    return res;
+  };
+  const ForwardAuthResult ref = seed_forward();
+  const bool agree = fast.verified && ref.verified && fast.resigned == ref.resigned &&
+                     fast.egress == ref.egress;
 
   std::uint8_t sink = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
-    sink ^= node.bench_forward_lookup(m, ingress, &in_auth, path).resigned[0];
+    const ForwardAuthResult r =
+        fast_path ? node.bench_forward_lookup(m, ingress, &in_auth) : seed_forward();
+    sink ^= r.resigned[0];
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -233,9 +254,8 @@ exp::Metrics run_perhop(overlay::OverlayNode::BenchAuthPath path,
   return m2;
 }
 
-std::string perhop_label(overlay::OverlayNode::BenchAuthPath path, std::size_t payload) {
-  return std::string{"per-hop/"} +
-         (path == overlay::OverlayNode::BenchAuthPath::kFast ? "fast" : "seed") + "/" +
+std::string perhop_label(bool fast_path, std::size_t payload) {
+  return std::string{"per-hop/"} + (fast_path ? "fast" : "seed") + "/" +
          std::to_string(payload) + "B";
 }
 
@@ -273,16 +293,14 @@ int main(int argc, char** argv) {
   const std::size_t hop_iters = opts.quick ? 50'000 : 400'000;
   const std::vector<std::size_t> payloads{400, 1200};
   for (const std::size_t payload : payloads) {
-    for (const auto path : {overlay::OverlayNode::BenchAuthPath::kSeed,
-                            overlay::OverlayNode::BenchAuthPath::kFast}) {
+    for (const bool fast_path : {false, true}) {
       exp::Json params = exp::Json::object();
-      params["path"] =
-          path == overlay::OverlayNode::BenchAuthPath::kFast ? "fast" : "seed";
+      params["path"] = fast_path ? "fast" : "seed";
       params["payload_bytes"] = static_cast<std::uint64_t>(payload);
       params["sha256_kernel"] = crypto::sha256_kernel_name();
-      ex.add_cell(perhop_label(path, payload), std::move(params),
-                  [path, payload, hop_iters](std::uint64_t seed) {
-                    return run_perhop(path, payload, hop_iters, seed);
+      ex.add_cell(perhop_label(fast_path, payload), std::move(params),
+                  [fast_path, payload, hop_iters](std::uint64_t seed) {
+                    return run_perhop(fast_path, payload, hop_iters, seed);
                   },
                   /*reps_override=*/3);
     }
@@ -346,8 +364,9 @@ int main(int argc, char** argv) {
 
   bench::heading("ITHOP", "Per-hop IT auth cost: crypto fast path vs seed path");
   bench::note("One authenticated transit hop = verify the arriving tag (ingress peer's");
-  bench::note("key) + re-sign toward the egress peer. 'seed' = per-frame key-table");
-  bench::note("lookup + from-scratch HMAC (both key-pad compressions recomputed);");
+  bench::note("key) + re-sign toward the egress peer. 'seed' = heap-serialized auth");
+  bench::note("bytes + from-scratch scalar HMAC on the raw pair keys (both key-pad");
+  bench::note("compressions recomputed per tag);");
   bench::note("'fast' = per-link MacContext handles resuming cached HMAC midstates on");
   bench::note("the dispatched SHA-256 kernel (%s here). Wall-clock ns, machine-",
               crypto::sha256_kernel_name());
@@ -357,10 +376,8 @@ int main(int argc, char** argv) {
   std::printf("%10s", "");
   ht.print_header();
   for (const std::size_t payload : payloads) {
-    const auto& seed_c = report.cell(
-        perhop_label(overlay::OverlayNode::BenchAuthPath::kSeed, payload));
-    const auto& fast_c = report.cell(
-        perhop_label(overlay::OverlayNode::BenchAuthPath::kFast, payload));
+    const auto& seed_c = report.cell(perhop_label(false, payload));
+    const auto& fast_c = report.cell(perhop_label(true, payload));
     const bool ok = seed_c.scalar_mean("paths_bit_identical") == 1.0 &&
                     fast_c.scalar_mean("paths_bit_identical") == 1.0;
     std::printf("%10s", (std::to_string(payload) + "B").c_str());

@@ -79,26 +79,17 @@ BENCHMARK(BM_Forward_SourceBased);
 /// link's peer) + re-sign toward the routed egress peer. The arrival tag is
 /// built once outside the loop, so the loop measures exactly the two HMACs
 /// plus the routing lookup.
-void forward_hmac_loop(benchmark::State& state, overlay::OverlayNode::BenchAuthPath path) {
+void BM_Forward_WithHmacAuth(benchmark::State& state) {
   HotPathFixture f{true};
   auto& node = f.net->node(4);
   const overlay::Message m = f.msg(overlay::RouteScheme::kLinkState, 1);
   const overlay::LinkBit ingress = node.link_bits().front();
   const crypto::Tag in_auth = node.bench_make_arrival_tag(m, ingress);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(node.bench_forward_lookup(m, ingress, &in_auth, path));
+    benchmark::DoNotOptimize(node.bench_forward_lookup(m, ingress, &in_auth));
   }
 }
-
-void BM_Forward_WithHmacAuth(benchmark::State& state) {
-  forward_hmac_loop(state, overlay::OverlayNode::BenchAuthPath::kFast);
-}
 BENCHMARK(BM_Forward_WithHmacAuth);
-
-void BM_Forward_WithHmacAuth_SeedPath(benchmark::State& state) {
-  forward_hmac_loop(state, overlay::OverlayNode::BenchAuthPath::kSeed);
-}
-BENCHMARK(BM_Forward_WithHmacAuth_SeedPath);
 
 void BM_Sha256_1200B(benchmark::State& state) {
   std::vector<std::uint8_t> buf(1200, 0xAB);

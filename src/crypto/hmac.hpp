@@ -4,7 +4,7 @@
 //   * hmac_sha256 / hmac_tag — stateless reference: recomputes both key-pad
 //     block compressions (k^ipad, k^opad) on every call. 4 SHA-256
 //     compressions for a short message. The seed implementation, kept as the
-//     ablation baseline and the equivalence-test oracle.
+//     oracle the tests and the bench reference cells compare against.
 //   * HmacKey — midstate-cached: captures the SHA-256 states after absorbing
 //     k^ipad and k^opad ONCE at construction; each subsequent tag resumes
 //     those states, so a short-message tag costs 2 compressions instead of
@@ -34,7 +34,7 @@ using Tag = std::array<std::uint8_t, 16>;
                                  std::span<const std::uint8_t> head,
                                  std::span<const std::uint8_t> body);
 /// Kernel-pinned variant (digests do not depend on the kernel). Lets bench
-/// ablations reconstruct the pre-dispatch cost without touching the
+/// reference cells time the pre-dispatch scalar cost without touching the
 /// process-wide default mid-run.
 [[nodiscard]] Digest hmac_sha256(std::span<const std::uint8_t> key,
                                  std::span<const std::uint8_t> head,
@@ -69,7 +69,8 @@ class HmacKey {
  public:
   HmacKey() = default;
   explicit HmacKey(std::span<const std::uint8_t> key) : HmacKey(key, sha256_kernel()) {}
-  /// Kernel-pinned variant for ablation cells; digests do not depend on it.
+  /// Kernel-pinned variant for per-kernel bench cells; digests do not depend
+  /// on it.
   HmacKey(std::span<const std::uint8_t> key, Sha256Kernel kernel);
 
   SON_HOT [[nodiscard]] Digest mac(std::span<const std::uint8_t> head,

@@ -20,11 +20,10 @@ Key derive_pair_key(const Key& master, std::uint32_t a, std::uint32_t b) {
 
 KeyTable::KeyTable(const Key& master, std::uint32_t self, std::uint32_t num_nodes)
     : self_{self} {
-  keys_.reserve(num_nodes);
   macs_.reserve(num_nodes);
   for (std::uint32_t peer = 0; peer < num_nodes; ++peer) {
-    keys_.push_back(derive_pair_key(master, self, peer));
-    macs_.emplace_back(std::span<const std::uint8_t>{keys_.back()});
+    const Key key = derive_pair_key(master, self, peer);
+    macs_.emplace_back(std::span<const std::uint8_t>{key});
   }
 }
 

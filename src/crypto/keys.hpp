@@ -8,9 +8,9 @@
 // The table precomputes one HmacKey midstate per peer at construction, so
 // per-frame sign/verify skips both key-pad compressions. Endpoints resolve a
 // MacContext handle once per link (context(peer)) instead of indexing the
-// table per frame. set_midstate(false) is the ablation knob reconstructing
-// the seed path (from-scratch HMAC per tag); tags are bit-identical either
-// way.
+// table per frame. Tags equal the stateless reference
+// hmac_tag(derive_pair_key(master, self, peer), message) bit for bit; the
+// tests keep that reference as the oracle.
 #pragma once
 
 #include <cstdint>
@@ -30,23 +30,17 @@ using Key = std::array<std::uint8_t, 32>;
 [[nodiscard]] Key derive_pair_key(const Key& master, std::uint32_t a, std::uint32_t b);
 
 /// Per-link signing handle: the result of resolving one peer in a KeyTable.
-/// Holds the peer's precomputed midstate (fast path) and raw key (ablation
-/// fallback); sign/verify stream the message as head||body spans. Invalidated
-/// if the owning table is destroyed or its midstate knob is toggled — resolve
-/// at (endpoint) setup time, after knobs are set.
+/// Points at the peer's precomputed midstate; sign/verify stream the message
+/// as head||body spans. Invalidated if the owning table is destroyed.
 class MacContext {
  public:
   MacContext() = default;
 
-  [[nodiscard]] bool valid() const { return raw_ != nullptr; }
+  [[nodiscard]] bool valid() const { return mac_ != nullptr; }
 
   SON_HOT [[nodiscard]] Tag sign(std::span<const std::uint8_t> head,
                                  std::span<const std::uint8_t> body = {}) const {
-    if (mac_ != nullptr) return mac_->tag(head, body);
-    const Digest d = hmac_sha256(std::span<const std::uint8_t>{*raw_}, head, body);
-    Tag t;
-    for (std::size_t i = 0; i < t.size(); ++i) t[i] = d[i];
-    return t;
+    return mac_->tag(head, body);
   }
   SON_HOT [[nodiscard]] bool verify(std::span<const std::uint8_t> head,
                                     std::span<const std::uint8_t> body,
@@ -56,10 +50,9 @@ class MacContext {
 
  private:
   friend class KeyTable;
-  MacContext(const HmacKey* mac, const Key* raw) : mac_{mac}, raw_{raw} {}
+  explicit MacContext(const HmacKey* mac) : mac_{mac} {}
 
-  const HmacKey* mac_ = nullptr;  // null when the table's midstate knob is off
-  const Key* raw_ = nullptr;
+  const HmacKey* mac_ = nullptr;
 };
 
 /// Per-node view of the full pairwise key table for n overlay nodes.
@@ -67,20 +60,14 @@ class KeyTable {
  public:
   KeyTable(const Key& master, std::uint32_t self, std::uint32_t num_nodes);
 
-  [[nodiscard]] const Key& key_for(std::uint32_t peer) const { return keys_.at(peer); }
   [[nodiscard]] std::uint32_t self() const { return self_; }
-  [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(keys_.size()); }
+  [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(macs_.size()); }
 
   /// Resolves the signing handle for the channel self<->peer. Endpoints call
   /// this once per link, not per frame.
   [[nodiscard]] MacContext context(std::uint32_t peer) const {
-    return MacContext{midstate_ ? &macs_.at(peer) : nullptr, &keys_.at(peer)};
+    return MacContext{&macs_.at(peer)};
   }
-
-  /// Ablation knob: false reconstructs the seed path (both key-pad
-  /// compressions recomputed per tag). Set before resolving contexts.
-  void set_midstate(bool on) { midstate_ = on; }
-  [[nodiscard]] bool midstate() const { return midstate_; }
 
   /// Tags `message` for the channel self<->peer.
   SON_HOT [[nodiscard]] Tag sign(std::uint32_t peer,
@@ -96,9 +83,7 @@ class KeyTable {
 
  private:
   std::uint32_t self_;
-  std::vector<Key> keys_;      // indexed by peer id
-  std::vector<HmacKey> macs_;  // midstates, same index
-  bool midstate_ = true;
+  std::vector<HmacKey> macs_;  // midstates, indexed by peer id
 };
 
 }  // namespace son::crypto

@@ -94,9 +94,8 @@ inline constexpr std::size_t kControlAuthHeadBytes = 27;
 SON_HOT std::size_t control_auth_head_bytes(const LinkFrame& f, std::span<std::uint8_t> out);
 SON_HOT void control_auth_suffix_into(const LinkFrame& f, std::vector<std::uint8_t>& out);
 
-/// Single-buffer concatenation (head || suffix): the seed-path
-/// reconstruction and the test reference. Allocates; hot paths use the
-/// two-span form above.
+/// Single-buffer concatenation (head || suffix): the reference encoder the
+/// tests compare against. Allocates; hot paths use the two-span form above.
 [[nodiscard]] std::vector<std::uint8_t> control_auth_bytes(const LinkFrame& f);
 
 }  // namespace son::overlay

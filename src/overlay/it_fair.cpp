@@ -28,18 +28,10 @@ const crypto::MacContext& ItEndpointBase::link_mac() {
 void ItEndpointBase::sign_frame(LinkFrame& f) {
   if (!ctx_.authenticate() || ctx_.keys() == nullptr || !f.msg) return;
   obs_sign_ops_.add();
-  if (ctx_.keys()->midstate()) {
-    std::array<std::uint8_t, kAuthHeadBytes> head;
-    const std::size_t n = auth_head_bytes(*f.msg, std::span{head});
-    f.auth = link_mac().sign(std::span<const std::uint8_t>{head.data(), n},
-                             payload_span(*f.msg));
-  } else {
-    // Seed-path reconstruction (midstate ablation): heap-serialize
-    // head || payload and derive the HMAC pads from the raw key each call.
-    // son-analyze: allow(hot-path-alloc) "ablation branch reconstructing the pre-fast-path behavior for A/B benchmarking; off in production runs"
-    const auto bytes = auth_bytes(*f.msg);
-    f.auth = ctx_.keys()->sign(ctx_.peer(), std::span<const std::uint8_t>{bytes});
-  }
+  std::array<std::uint8_t, kAuthHeadBytes> head;
+  const std::size_t n = auth_head_bytes(*f.msg, std::span{head});
+  f.auth = link_mac().sign(std::span<const std::uint8_t>{head.data(), n},
+                           payload_span(*f.msg));
   f.authenticated = true;
 }
 
@@ -51,21 +43,14 @@ bool ItEndpointBase::verify_frame(const LinkFrame& f) {
     return false;
   }
   obs_verify_ops_.add();
-  bool ok;
-  if (ctx_.keys()->midstate()) {
-    std::array<std::uint8_t, kAuthHeadBytes> head;
-    const std::size_t n = auth_head_bytes(*f.msg, std::span{head});
-    const std::span<const std::uint8_t> head_sp{head.data(), n};
-    // Frames on a point-to-point link come from the peer; the cached link
-    // context holds exactly that pairwise key.
-    ok = (f.from == ctx_.peer())
-             ? link_mac().verify(head_sp, payload_span(*f.msg), f.auth)
-             : ctx_.keys()->verify(f.from, head_sp, payload_span(*f.msg), f.auth);
-  } else {
-    // son-analyze: allow(hot-path-alloc) "ablation branch reconstructing the pre-fast-path behavior for A/B benchmarking; off in production runs"
-    const auto bytes = auth_bytes(*f.msg);
-    ok = ctx_.keys()->verify(f.from, std::span<const std::uint8_t>{bytes}, f.auth);
-  }
+  std::array<std::uint8_t, kAuthHeadBytes> head;
+  const std::size_t n = auth_head_bytes(*f.msg, std::span{head});
+  const std::span<const std::uint8_t> head_sp{head.data(), n};
+  // Frames on a point-to-point link come from the peer; the cached link
+  // context holds exactly that pairwise key.
+  const bool ok = (f.from == ctx_.peer())
+                      ? link_mac().verify(head_sp, payload_span(*f.msg), f.auth)
+                      : ctx_.keys()->verify(f.from, head_sp, payload_span(*f.msg), f.auth);
   if (!ok) ++stats_.auth_failures;
   return ok;
 }

@@ -73,9 +73,8 @@ class ItEndpointBase : public LinkProtocolEndpoint {
   /// Per-hop authentication fast path: auth input is streamed as the 64-byte
   /// header encoding (stack buffer) followed by the shared payload buffer —
   /// no serialization vector, no payload copy — through the link's resolved
-  /// MacContext (HMAC midstates). With the table's midstate knob off, the
-  /// seed path (heap-serialized auth_bytes + from-scratch HMAC) is
-  /// reconstructed instead; tags are bit-identical either way.
+  /// MacContext (HMAC midstates). Tags equal the stateless HMAC over the
+  /// heap-serialized auth_bytes, the reference the tests compare against.
   SON_HOT void sign_frame(LinkFrame& f);
   SON_HOT [[nodiscard]] bool verify_frame(const LinkFrame& f);
   /// The pairwise signing handle for this link's peer, resolved once.

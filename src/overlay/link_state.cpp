@@ -174,7 +174,6 @@ double TopologyDb::link_cost(LinkBit b) const {
 
 bool TopologyDb::changed_edges_since(std::uint64_t since_version, topo::EdgeSet& out) const {
   out.clear();
-  if (!incremental_) return false;  // ablation: consumers must full-recompute
   if (since_version >= version_) return true;  // nothing newer
   if (since_version + 1 < journal_first_) return false;  // aged out of the journal
   for (std::uint64_t v = since_version + 1; v <= version_; ++v) {

@@ -75,12 +75,6 @@ class TopologyDb {
   /// dirty (a mass change: consumers fall back to a full recompute).
   void set_loss_aware(bool aware);
 
-  /// Ablation knob for bench_routing's recorded baseline: when false, the
-  /// pre-incremental pipeline is emulated — changed_edges_since() always
-  /// reports the journal as unusable (consumers full-recompute) and
-  /// current_graph() recosts every edge per version bump.
-  void set_incremental(bool incremental) { incremental_ = incremental; }
-
   [[nodiscard]] std::uint64_t version() const { return version_; }
   [[nodiscard]] std::uint64_t stored_seq(NodeId origin) const;
   [[nodiscard]] std::uint32_t stored_incarnation(NodeId origin) const;
@@ -122,7 +116,6 @@ class TopologyDb {
   topo::Graph base_;
   std::vector<PerOrigin> by_origin_;
   bool loss_aware_ = true;
-  bool incremental_ = true;
   std::uint64_t version_ = 1;
 
   // Change journal: entry i holds the edges dirtied by version

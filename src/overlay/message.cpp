@@ -46,9 +46,9 @@ std::size_t auth_head_bytes(const Message& m, std::span<std::uint8_t> out) {
 std::vector<std::uint8_t> auth_bytes(const Message& m) {
   std::vector<std::uint8_t> out(kAuthHeadBytes);
   const std::size_t n = auth_head_bytes(m, std::span{out});
-  // son-analyze: allow(hot-path-alloc) "seed-path/ablation reference encoder; the hot fast path streams auth_head_bytes + payload spans and never calls this"
+  // son-analyze: allow(hot-path-alloc) "reference encoder used by tests and bench reference cells; the hot fast path streams auth_head_bytes + payload spans and never calls this"
   out.resize(n);
-  // son-analyze: allow(hot-path-alloc) "seed-path/ablation reference encoder; the hot fast path streams auth_head_bytes + payload spans and never calls this"
+  // son-analyze: allow(hot-path-alloc) "reference encoder used by tests and bench reference cells; the hot fast path streams auth_head_bytes + payload spans and never calls this"
   if (m.payload) out.insert(out.end(), m.payload->begin(), m.payload->end());
   return out;
 }

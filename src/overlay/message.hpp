@@ -79,8 +79,8 @@ inline constexpr std::size_t kAuthHeadBytes = 64;
 /// it is stamped once by the origin and never rewritten in flight.
 SON_HOT std::size_t auth_head_bytes(const Message& m, std::span<std::uint8_t> out);
 
-/// Heap-allocating head+payload concatenation: the seed-path reconstruction
-/// (KeyTable midstate ablation) and the equivalence-test reference.
+/// Heap-allocating head+payload concatenation: the reference encoder the
+/// tests and bench reference cells compare the streamed spans against.
 [[nodiscard]] std::vector<std::uint8_t> auth_bytes(const Message& m);
 
 /// Wire size estimate for underlay queueing/bandwidth purposes.

@@ -94,9 +94,6 @@ OverlayNode::OverlayNode(sim::Simulator& sim, net::Internet& internet, net::Host
     keys_ = std::make_unique<crypto::KeyTable>(
         cfg_.master_key, id_,
         static_cast<std::uint32_t>(topo_db_.base_graph().num_nodes()));
-    // Apply the ablation knob before any MacContext is resolved (per-link
-    // handles are resolved lazily, on the first signed frame).
-    keys_->set_midstate(cfg_.crypto_midstate);
   }
   internet_.bind(host_, cfg_.daemon_port,
                  [this](const net::Datagram& d) { on_datagram(d); });
@@ -488,18 +485,11 @@ void OverlayNode::send_frame_on_link(NeighborLink& nl, LinkFrame f) {
   // Intrusion-tolerant deployments authenticate the control plane hop-by-hop
   // so outsiders cannot inject hellos or forge topology/membership state.
   if (cfg_.authenticate && keys_ != nullptr && is_control_frame(f.type)) {
-    if (keys_->midstate()) {
-      std::array<std::uint8_t, kControlAuthHeadBytes> head;
-      const std::size_t n = control_auth_head_bytes(f, std::span{head});
-      if (!nl.mac.valid()) nl.mac = keys_->context(nl.spec.peer);
-      f.auth = nl.mac.sign(std::span<const std::uint8_t>{head.data(), n},
-                           control_suffix_for_sign(f));
-    } else {
-      // Seed-path reconstruction (midstate ablation).
-      // son-analyze: allow(hot-path-alloc) "ablation branch reconstructing the pre-fast-path behavior for A/B benchmarking; off in production runs"
-      const auto bytes = control_auth_bytes(f);
-      f.auth = keys_->sign(nl.spec.peer, std::span<const std::uint8_t>{bytes});
-    }
+    std::array<std::uint8_t, kControlAuthHeadBytes> head;
+    const std::size_t n = control_auth_head_bytes(f, std::span{head});
+    if (!nl.mac.valid()) nl.mac = keys_->context(nl.spec.peer);
+    f.auth = nl.mac.sign(std::span<const std::uint8_t>{head.data(), n},
+                         control_suffix_for_sign(f));
     f.authenticated = true;
   }
   // Channel selection: hellos pin their channel; everything else uses the
@@ -636,7 +626,7 @@ void OverlayNode::on_datagram(const net::Datagram& d) {
 void OverlayNode::on_frame(LinkFrame f) {
   if (cfg_.authenticate && keys_ != nullptr && is_control_frame(f.type)) {
     bool ok = f.authenticated && f.from < keys_->size();
-    if (ok && keys_->midstate()) {
+    if (ok) {
       // Re-serialize the claimed content into this node's own scratch (never
       // trust, and never cache, bytes keyed by a sender-chosen id).
       std::array<std::uint8_t, kControlAuthHeadBytes> head;
@@ -644,10 +634,6 @@ void OverlayNode::on_frame(LinkFrame f) {
       control_auth_suffix_into(f, verify_suffix_scratch_);
       ok = keys_->verify(f.from, std::span<const std::uint8_t>{head.data(), n},
                          std::span<const std::uint8_t>{verify_suffix_scratch_}, f.auth);
-    } else if (ok) {
-      // son-analyze: allow(hot-path-alloc) "ablation branch reconstructing the pre-fast-path behavior for A/B benchmarking; off in production runs"
-      const auto bytes = control_auth_bytes(f);
-      ok = keys_->verify(f.from, std::span<const std::uint8_t>{bytes}, f.auth);
     }
     if (!ok) {
       ++stats_.control_auth_failures;
@@ -955,8 +941,7 @@ crypto::Tag OverlayNode::bench_make_arrival_tag(const Message& msg, LinkBit arri
 
 OverlayNode::ForwardAuthResult OverlayNode::bench_forward_lookup(const Message& msg,
                                                                  LinkBit arrived_on,
-                                                                 const crypto::Tag* in_auth,
-                                                                 BenchAuthPath path) {
+                                                                 const crypto::Tag* in_auth) {
   // The per-message forwarding work of an intermediate node: routing lookup
   // (+ dedup for source-based schemes) and, in IT mode, HMAC verify+re-sign.
   ForwardAuthResult res;
@@ -986,34 +971,16 @@ OverlayNode::ForwardAuthResult OverlayNode::bench_forward_lookup(const Message& 
     }
   }
 
-  if (path == BenchAuthPath::kFast && keys_->midstate()) {
-    std::array<std::uint8_t, kAuthHeadBytes> head;
-    const std::size_t n = auth_head_bytes(msg, std::span{head});
-    const std::span<const std::uint8_t> head_sp{head.data(), n};
-    const std::span<const std::uint8_t> body =
-        msg.payload ? std::span<const std::uint8_t>{msg.payload->data(), msg.payload->size()}
-                    : std::span<const std::uint8_t>{};
-    if (!in_nl->mac.valid()) in_nl->mac = keys_->context(in_nl->spec.peer);
-    if (!out_nl->mac.valid()) out_nl->mac = keys_->context(out_nl->spec.peer);
-    res.verified = in_auth == nullptr || in_nl->mac.verify(head_sp, body, *in_auth);
-    res.resigned = out_nl->mac.sign(head_sp, body);
-  } else {
-    // Seed path: heap-serialize the auth input and derive the HMAC key pads
-    // from the raw pairwise key on every tag, pinned to the scalar kernel —
-    // the seed predates runtime SHA-256 dispatch, so the before/after cells
-    // must not let the hardware kernel leak into the baseline.
-    const auto bytes = auth_bytes(msg);
-    const std::span<const std::uint8_t> sp{bytes};
-    constexpr auto kSeedKernel = crypto::Sha256Kernel::kScalar;
-    res.verified =
-        in_auth == nullptr ||
-        crypto::verify_tag(
-            crypto::hmac_tag(std::span<const std::uint8_t>{keys_->key_for(in_nl->spec.peer)}, sp,
-                             kSeedKernel),
-            *in_auth);
-    res.resigned = crypto::hmac_tag(
-        std::span<const std::uint8_t>{keys_->key_for(out_nl->spec.peer)}, sp, kSeedKernel);
-  }
+  std::array<std::uint8_t, kAuthHeadBytes> head;
+  const std::size_t n = auth_head_bytes(msg, std::span{head});
+  const std::span<const std::uint8_t> head_sp{head.data(), n};
+  const std::span<const std::uint8_t> body =
+      msg.payload ? std::span<const std::uint8_t>{msg.payload->data(), msg.payload->size()}
+                  : std::span<const std::uint8_t>{};
+  if (!in_nl->mac.valid()) in_nl->mac = keys_->context(in_nl->spec.peer);
+  if (!out_nl->mac.valid()) out_nl->mac = keys_->context(out_nl->spec.peer);
+  res.verified = in_auth == nullptr || in_nl->mac.verify(head_sp, body, *in_auth);
+  res.resigned = out_nl->mac.sign(head_sp, body);
   return res;
 }
 

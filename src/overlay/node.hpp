@@ -75,11 +75,6 @@ struct NodeConfig {
   /// Hop-by-hop HMAC authentication (intrusion-tolerant deployments).
   bool authenticate = false;
   crypto::Key master_key{};
-  /// Ablation knob (forwarded to the KeyTable before any frame is signed):
-  /// false reconstructs the seed crypto path — heap-serialized auth input and
-  /// both HMAC key-pad compressions recomputed per tag. Tags are
-  /// bit-identical either way.
-  bool crypto_midstate = true;
 
   /// UDP-style port the daemon listens on. Parallel overlays on the same
   /// machines use distinct ports (§II-D: "multiple overlays can even be run
@@ -261,11 +256,6 @@ class OverlayNode {
 
   void set_tracer(sim::Tracer t) { tracer_ = std::move(t); }
 
-  /// Which crypto path the forwarding microbenchmark exercises.
-  enum class BenchAuthPath : std::uint8_t {
-    kFast,  // midstate MacContexts + zero-allocation two-span streaming
-    kSeed,  // heap-serialized auth_bytes + from-scratch HMAC per tag
-  };
   struct ForwardAuthResult {
     LinkBit egress = kInvalidLinkBit;  // routed outgoing link
     bool verified = false;
@@ -281,8 +271,7 @@ class OverlayNode {
   /// once with bench_make_arrival_tag, outside the timed loop) so the loop
   /// measures exactly verify + re-sign.
   ForwardAuthResult bench_forward_lookup(const Message& msg, LinkBit arrived_on,
-                                         const crypto::Tag* in_auth = nullptr,
-                                         BenchAuthPath path = BenchAuthPath::kFast);
+                                         const crypto::Tag* in_auth = nullptr);
   /// The tag `msg` carries when it arrives on `arrived_on` (i.e. what that
   /// link's peer signs toward this node — the pairwise key is symmetric).
   [[nodiscard]] crypto::Tag bench_make_arrival_tag(const Message& msg,
@@ -318,7 +307,7 @@ class OverlayNode {
     std::unique_ptr<class NodeLinkContext> ctx;
     std::map<LinkProtocol, std::unique_ptr<LinkProtocolEndpoint>> endpoints;
     /// Pairwise signing handle toward spec.peer, resolved from the key table
-    /// once (lazily, after the midstate knob is applied in the constructor).
+    /// once (lazily, on the first signed frame).
     crypto::MacContext mac;
   };
 
@@ -385,12 +374,13 @@ class OverlayNode {
   void refresh_link_ad(bool force_flood);
   void flood_control(FrameType type, std::any control, LinkBit arrived_on);
   /// Sign-side serialize-once cache for flooded advertisement bodies: the
-  /// auth suffix of an LSA/GSA depends only on (type, origin, seq), so a
-  /// K-link x flood_copies fan-out of one ad serializes it once and the
-  /// remaining copies reuse the cached bytes (each still gets its own
-  /// per-peer midstate HMAC). Sign-side only by design: caching on the
-  /// VERIFY side would let an attacker poison the cache for an (origin, seq)
-  /// it does not own. Hello frames have an empty suffix and bypass this.
+  /// auth suffix of an LSA/GSA depends only on (type, origin, incarnation,
+  /// seq), so a K-link x flood_copies fan-out of one ad serializes it once
+  /// and the remaining copies reuse the cached bytes (each still gets its
+  /// own per-peer midstate HMAC). Sign-side only by design: caching on the
+  /// VERIFY side would let an attacker poison the cache for an
+  /// (origin, incarnation, seq) it does not own. Hello frames have an empty
+  /// suffix and bypass this.
   [[nodiscard]] std::span<const std::uint8_t> control_suffix_for_sign(const LinkFrame& f);
   void handle_lsa(const LinkFrame& f);
   void handle_group_state(const LinkFrame& f);

@@ -15,7 +15,7 @@ void Router::refresh_spt() {
   const std::uint64_t version = topo_db_.version();
   if (spt_version_ == version && spt_.built()) return;
   const bool have_delta =
-      !force_full_spt_ && spt_.built() && topo_db_.changed_edges_since(spt_version_, delta_scratch_);
+      spt_.built() && topo_db_.changed_edges_since(spt_version_, delta_scratch_);
   const topo::Graph& g = topo_db_.current_graph();
   if (next_hop_.size() != g.num_nodes()) {
     next_hop_.assign(g.num_nodes(), kInvalidLinkBit);
@@ -27,34 +27,10 @@ void Router::refresh_spt() {
   // delta (duplicate-content re-floods) costs nothing at all.
   if (have_delta && 2 * delta_scratch_.size() < g.num_edges()) {
     if (!delta_scratch_.empty()) spt_.update(g, delta_scratch_);
-  } else if (force_full_spt_) {
-    // The pre-incremental engine, verbatim: the allocating topo::dijkstra
-    // call plus an eager whole-table next-hop rebuild per version bump.
-    spt_.adopt(g, self_, topo::dijkstra(g, self_));
-    rebuild_next_hop_table(g, version);
   } else {
     spt_.full_compute(g, self_);
   }
   spt_version_ = version;
-}
-
-/// The pre-incremental engine's eager pass, kept verbatim as bench_routing's
-/// recorded baseline: walk back from every destination on every refresh,
-/// with no memoization across destinations.
-void Router::rebuild_next_hop_table(const topo::Graph& g, std::uint64_t version) {
-  const auto& dist = spt_.dist();
-  const auto& parent = spt_.parent();
-  const auto& parent_edge = spt_.parent_edge();
-  for (topo::NodeIndex dst = 0; dst < g.num_nodes(); ++dst) {
-    LinkBit hop = kInvalidLinkBit;
-    if (dst != self_ && dist[dst] != kInf) {
-      topo::NodeIndex v = dst;
-      while (parent[v] != self_) v = parent[v];
-      hop = static_cast<LinkBit>(parent_edge[v]);
-    }
-    next_hop_[dst] = hop;
-    hop_version_[dst] = version;
-  }
 }
 
 LinkBit Router::resolve_next_hop(topo::NodeIndex dst) {

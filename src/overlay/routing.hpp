@@ -57,12 +57,6 @@ class Router {
   /// unreachable.
   [[nodiscard]] double path_cost_to(NodeId dst);
 
-  /// Bench/ablation knob: run the pre-incremental engine — a full Dijkstra
-  /// plus an eager whole-table next-hop rebuild on every topology change
-  /// (the recorded baseline cell in bench_routing; pair it with
-  /// TopologyDb::set_incremental(false) for the full pre-change pipeline).
-  void set_force_full_spt(bool force) { force_full_spt_ = force; }
-
   /// Membership eviction: immediately drops every cached answer involving a
   /// departed origin — multicast trees rooted at it and source masks toward
   /// it. The version-stamped sweep would age these out on the next topology
@@ -77,7 +71,6 @@ class Router {
 
  private:
   void refresh_spt();
-  void rebuild_next_hop_table(const topo::Graph& g, std::uint64_t version);
   /// Drops every cache entry stamped with a stale topology/group version.
   /// Runs at most once per (topo, group) version pair.
   void evict_stale_caches();
@@ -90,7 +83,6 @@ class Router {
   // Incrementally repaired shortest-path tree from self.
   topo::SptEngine spt_;
   std::uint64_t spt_version_ = 0;
-  bool force_full_spt_ = false;
 
   // Lazy next-hop memo: next_hop_[dst] is valid iff hop_version_[dst] equals
   // the SPT version; resolving one destination stamps its whole parent

@@ -7,9 +7,10 @@
 // reads the number of allocations performed so far. A test snapshots the
 // counter around a warmed-up work window and asserts the delta is zero.
 //
-// The replacements live in the same TU as alloc_count(), so only binaries
-// that actually reference the probe pull in the counting allocator; every
-// other target keeps the toolchain default. Counting is one relaxed atomic
+// The replacements live in the same TU as alloc_count(), in the
+// son_alloc_probe archive, so only binaries that link that archive and
+// reference the probe pull in the counting allocator; every other target
+// keeps the toolchain default. Counting is one relaxed atomic
 // increment per allocation and composes with ASan/TSan (the wrappers defer
 // to malloc/free, which the sanitizers intercept as usual).
 #pragma once

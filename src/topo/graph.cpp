@@ -191,18 +191,6 @@ void SptEngine::canonicalize_parent(const Graph& g, NodeIndex v) {
   parent_edge_[v] = best_e;
 }
 
-void SptEngine::adopt(const Graph& g, NodeIndex src, ShortestPaths sp) {
-  const std::size_t n = g.num_nodes();
-  src_ = src;
-  dist_ = std::move(sp.dist);
-  parent_ = std::move(sp.parent);
-  parent_edge_ = std::move(sp.parent_edge);
-  heap_.clear();
-  heap_pos_.assign(n, kNotInHeap);
-  detached_.assign(n, false);
-  touched_.clear();
-}
-
 void SptEngine::full_compute(const Graph& g, NodeIndex src) {
   const std::size_t n = g.num_nodes();
   src_ = src;

@@ -87,10 +87,6 @@ class SptEngine {
   /// Full rebuild — plain Dijkstra from `src` into the reused buffers.
   void full_compute(const Graph& g, NodeIndex src);
 
-  /// Installs an externally computed dijkstra() result as the current tree
-  /// (used by the pre-incremental baseline emulation in Router).
-  void adopt(const Graph& g, NodeIndex src, ShortestPaths sp);
-
   /// Repairs the tree after the weights of `changed` (deduplicated) were
   /// already updated in `g`. Requires a prior full_compute() against a
   /// graph with the same structure and source.

@@ -317,25 +317,33 @@ TEST(Keys, TwoSpanSignMatchesSingleSpan) {
                        whole));
 }
 
-TEST(Keys, MidstateKnobIsBitIdentical) {
+// The midstate contexts against the stateless seed implementation: every
+// tag equals hmac_tag(derive_pair_key(master, self, peer), head || body) —
+// across the one-block edge (55/56), the block edges (63/64/65) and a full
+// data frame, at several head/body cut points and for every peer.
+TEST(Keys, ContextSignMatchesStatelessOracle) {
   Key master{};
   master[1] = 0x52;
-  KeyTable fast(master, 0, 4);
-  KeyTable seed(master, 0, 4);
-  seed.set_midstate(false);
-  EXPECT_TRUE(fast.midstate());
-  EXPECT_FALSE(seed.midstate());
+  master[30] = 0x9D;
+  constexpr std::uint32_t kSelf = 2;
+  const KeyTable table(master, kSelf, 5);
   std::mt19937_64 rng{0x4242};
-  for (const std::size_t len : {0u, 23u, 64u, 87u, 1200u}) {
+  for (const std::size_t len : {0u, 23u, 55u, 56u, 63u, 64u, 65u, 87u, 1200u}) {
     const auto m = random_bytes(rng, len);
-    const std::span<const std::uint8_t> sp{m};
-    EXPECT_EQ(fast.sign(1, sp), seed.sign(1, sp)) << len;
-    const MacContext fast_ctx = fast.context(1);
-    const MacContext seed_ctx = seed.context(1);
-    EXPECT_TRUE(fast_ctx.valid());
-    EXPECT_TRUE(seed_ctx.valid());
-    EXPECT_EQ(fast_ctx.sign(sp), seed_ctx.sign(sp)) << len;
-    EXPECT_TRUE(seed_ctx.verify(sp, {}, fast.sign(1, sp)));
+    for (std::uint32_t peer = 0; peer < table.size(); ++peer) {
+      const Key key = derive_pair_key(master, kSelf, peer);
+      const Tag oracle = hmac_tag(key, m);
+      const MacContext ctx = table.context(peer);
+      ASSERT_TRUE(ctx.valid());
+      EXPECT_EQ(table.sign(peer, std::span<const std::uint8_t>{m}), oracle) << len;
+      for (const std::size_t cut : {0ul, 1ul, 23ul, 55ul, 64ul, len / 2, len}) {
+        if (cut > len) continue;
+        const std::span<const std::uint8_t> head{m.data(), cut};
+        const std::span<const std::uint8_t> body{m.data() + cut, len - cut};
+        EXPECT_EQ(ctx.sign(head, body), oracle) << "len " << len << " cut " << cut;
+        EXPECT_TRUE(ctx.verify(head, body, oracle)) << "len " << len << " cut " << cut;
+      }
+    }
   }
 }
 
