@@ -14,7 +14,7 @@ void key_pads(std::span<const std::uint8_t> key, std::array<std::uint8_t, 64>& i
     kh.update(key);
     const Digest kd = kh.finish();
     std::memcpy(k_block.data(), kd.data(), kd.size());
-  } else {
+  } else if (!key.empty()) {  // an empty span's data() may be null
     std::memcpy(k_block.data(), key.data(), key.size());
   }
   for (std::size_t i = 0; i < 64; ++i) {

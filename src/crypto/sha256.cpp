@@ -319,7 +319,7 @@ void Sha256::reset_from(const Sha256State& state, std::uint64_t blocks_absorbed)
 void Sha256::update(std::span<const std::uint8_t> data) {
   total_bytes_ += data.size();
   std::size_t off = 0;
-  if (buffer_len_ > 0) {
+  if (buffer_len_ > 0 && !data.empty()) {  // an empty span's data() may be null
     const std::size_t take = std::min(data.size(), buffer_.size() - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
     buffer_len_ += take;

@@ -2,10 +2,12 @@
 //
 // The payload is opaque to the underlay, exactly as the paper requires: "to
 // the underlying network, an overlay looks like a normal user-level
-// application". Unlike std::any, PayloadRef is a *shared immutable* handle:
-// a datagram traversing k hops (one forwarding continuation per hop, plus
-// per-hop copies of the datagram itself) shares one payload allocation
-// instead of deep-copying the payload at every copy point.
+// application". PayloadRef is a *shared immutable* handle: a datagram
+// traversing k hops (one forwarding continuation per hop, plus per-hop copies
+// of the datagram itself) shares one payload allocation instead of
+// deep-copying the payload at every copy point. The overlay carries its
+// control ads in the same handle (LinkFrame::control), so one flooded ad is
+// shared by every frame that carries it.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +33,8 @@ class PayloadRef {
  public:
   PayloadRef() = default;
 
-  /// Wraps a value, like std::any's converting constructor — so call sites
-  /// keep writing `d.payload = frame;`. The value is moved into a single
-  /// shared allocation.
+  /// Wraps a value; implicit, so call sites write `d.payload = frame;`. The
+  /// value is moved into a single shared allocation.
   template <typename T>
     requires(!std::is_same_v<std::remove_cvref_t<T>, PayloadRef>)
   PayloadRef(T&& value)  // NOLINT(google-explicit-constructor)
@@ -49,8 +50,8 @@ class PayloadRef {
     return p;
   }
 
-  /// Typed view of the payload; nullptr when empty or a different type
-  /// (mirrors std::any_cast<T>(&payload)).
+  /// Typed view of the payload; nullptr when empty or holding a different
+  /// type.
   template <typename T>
   [[nodiscard]] const T* get() const {
     return tag_ == &detail::payload_tag<T> ? static_cast<const T*>(ptr_.get()) : nullptr;

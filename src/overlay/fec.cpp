@@ -79,7 +79,7 @@ void FecEndpoint::on_frame(const LinkFrame& f) {
       break;
     }
     case FrameType::kParity: {
-      const auto* block = std::any_cast<ParityBlock>(&f.control);
+      const auto* block = f.control.get<ParityBlock>();
       if (block == nullptr || block->first_seq <= seen_floor_) return;
       GroupState& g = groups_[block->first_seq];
       if (!g.parity) g.parity = *block;

@@ -5,13 +5,13 @@
 // overlay node itself.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "crypto/hmac.hpp"
+#include "net/packet.hpp"
 #include "overlay/message.hpp"
 #include "overlay/types.hpp"
 #include "sim/hot.hpp"
@@ -63,8 +63,10 @@ struct LinkFrame {
   /// responder can space its M retransmissions inside the deadline.
   sim::Duration budget = sim::Duration::zero();
 
-  /// Control payload for kLsa / kGroupState (LinkStateAd / GroupStateAd).
-  std::any control;
+  /// Control payload for kLsa / kGroupState (LinkStateAd / GroupStateAd)
+  /// and kParity (ParityBlock): a shared handle to an immutable object, so
+  /// every copy of a frame, and every frame of one flood, shares one ad.
+  net::PayloadRef control;
 
   // Per-hop authentication (intrusion-tolerant deployments).
   crypto::Tag auth{};

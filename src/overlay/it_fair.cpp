@@ -162,7 +162,7 @@ bool ItReliableEndpoint::send(Message msg) { return enqueue(std::move(msg)); }
 
 void ItReliableEndpoint::transmit(Message m) {
   const std::uint64_t seq = next_seq_++;
-  in_flight_.emplace(seq, InFlight{m, ctx_.simulator().now()});
+  in_flight_.put(seq, InFlight{m, ctx_.simulator().now()});
 
   LinkFrame f;
   f.link = ctx_.link();
@@ -197,7 +197,7 @@ void ItReliableEndpoint::on_retransmit_timer() {
   const sim::TimePoint now = ctx_.simulator().now();
   const sim::Duration rto =
       std::max(cfg_.min_rto, ctx_.rtt_estimate() * cfg_.rto_multiplier);
-  for (auto& [seq, fl] : in_flight_) {
+  for (auto [seq, fl] : in_flight_) {
     if (now - fl.last_sent < rto) continue;
     if (!eligible(key_of(fl.msg))) continue;  // flow backpressured: wait
     fl.last_sent = now;
@@ -263,10 +263,9 @@ void ItReliableEndpoint::on_frame(const LinkFrame& f) {
       break;
     }
     case FrameType::kBusy: {
-      const auto it = in_flight_.find(f.seq);
-      if (it != in_flight_.end()) {
+      if (const InFlight* fl = in_flight_.find(f.seq)) {
         const sim::Duration backoff = ctx_.rtt_estimate() * 4;
-        paused_flows_[key_of(it->second.msg)] = ctx_.simulator().now() + backoff;
+        paused_flows_[key_of(fl->msg)] = ctx_.simulator().now() + backoff;
       }
       break;
     }

@@ -27,6 +27,7 @@
 
 #include "obs/counters.hpp"
 #include "overlay/link_protocols.hpp"
+#include "overlay/seq_window.hpp"
 #include "sim/hot.hpp"
 
 namespace son::overlay {
@@ -138,7 +139,7 @@ class ItReliableEndpoint final : public ItEndpointBase {
     sim::TimePoint last_sent;
   };
   std::uint64_t next_seq_ = 1;
-  std::map<std::uint64_t, InFlight> in_flight_;
+  SeqWindow<InFlight> in_flight_;
   /// Flows the peer reported full; retried after a backoff.
   std::map<std::uint64_t, sim::TimePoint> paused_flows_;
   sim::EventId retransmit_timer_ = sim::kInvalidEventId;

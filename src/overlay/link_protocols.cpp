@@ -41,7 +41,7 @@ std::size_t control_auth_head_bytes(const LinkFrame& f, std::span<std::uint8_t> 
 
 void control_auth_suffix_into(const LinkFrame& f, std::vector<std::uint8_t>& out) {
   out.clear();
-  if (const auto* lsa = std::any_cast<LinkStateAd>(&f.control)) {
+  if (const auto* lsa = f.control.get<LinkStateAd>()) {
     put_raw(out, lsa->origin);
     put_raw(out, lsa->seq);
     put_raw(out, lsa->incarnation);
@@ -51,7 +51,7 @@ void control_auth_suffix_into(const LinkFrame& f, std::vector<std::uint8_t>& out
       put_raw(out, static_cast<std::uint64_t>(r.latency_ms * 1e6));
       put_raw(out, static_cast<std::uint64_t>(r.loss_rate * 1e9));
     }
-  } else if (const auto* gsa = std::any_cast<GroupStateAd>(&f.control)) {
+  } else if (const auto* gsa = f.control.get<GroupStateAd>()) {
     put_raw(out, gsa->origin);
     put_raw(out, gsa->seq);
     put_raw(out, gsa->incarnation);
@@ -96,7 +96,7 @@ std::uint32_t frame_wire_size(const LinkFrame& f) {
     size += 64;  // control advertisement payload estimate
   }
   if (f.type == FrameType::kParity) {
-    if (const auto* block = std::any_cast<ParityBlock>(&f.control)) {
+    if (const auto* block = f.control.get<ParityBlock>()) {
       size += static_cast<std::uint32_t>(block->xor_bytes.size()) +
               static_cast<std::uint32_t>(block->headers.size()) * 24;
     }

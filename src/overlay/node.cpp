@@ -192,7 +192,9 @@ void OverlayNode::refresh_group_ad() {
     }
   }
   group_db_.apply(ad);
-  if (started_) flood_control(FrameType::kGroupState, ad, kInvalidLinkBit);
+  if (started_) {
+    flood_control(FrameType::kGroupState, net::PayloadRef{std::move(ad)}, kInvalidLinkBit);
+  }
 }
 
 bool OverlayNode::client_send(ClientEndpoint& client, const Destination& dest, Payload payload,
@@ -623,7 +625,7 @@ void OverlayNode::on_datagram(const net::Datagram& d) {
   on_frame(*f);
 }
 
-void OverlayNode::on_frame(LinkFrame f) {
+void OverlayNode::on_frame(const LinkFrame& f) {
   if (cfg_.authenticate && keys_ != nullptr && is_control_frame(f.type)) {
     bool ok = f.authenticated && f.from < keys_->size();
     if (ok) {
@@ -818,10 +820,10 @@ void OverlayNode::refresh_link_ad(bool force_flood) {
     nl.adv_loss = r.loss_rate;
   }
   topo_db_.apply(ad);
-  flood_control(FrameType::kLsa, ad, kInvalidLinkBit);
+  flood_control(FrameType::kLsa, net::PayloadRef{std::move(ad)}, kInvalidLinkBit);
 }
 
-void OverlayNode::flood_control(FrameType type, std::any control, LinkBit arrived_on) {
+void OverlayNode::flood_control(FrameType type, const net::PayloadRef& ad, LinkBit arrived_on) {
   ++stats_.lsa_floods;
   if (flood_timers_.size() > 65536) flood_timers_.clear();  // long fired
   for (auto& nl : links_) {
@@ -829,7 +831,7 @@ void OverlayNode::flood_control(FrameType type, std::any control, LinkBit arrive
     for (std::uint32_t copy = 0; copy < cfg_.flood_copies; ++copy) {
       const sim::Duration at = cfg_.flood_spacing * static_cast<std::int64_t>(copy);
       const LinkBit bit = nl.spec.link;
-      flood_timers_.push_back(sim_.schedule(at, [this, bit, type, control]() {
+      flood_timers_.push_back(sim_.schedule(at, [this, bit, type, ad]() {
         NeighborLink* nl2 = link_by_bit(bit);
         if (nl2 == nullptr) return;
         LinkFrame f;
@@ -837,7 +839,7 @@ void OverlayNode::flood_control(FrameType type, std::any control, LinkBit arrive
         f.from = id_;
         f.to = nl2->spec.peer;
         f.type = type;
-        f.control = control;
+        f.control = ad;
         send_frame_on_link(*nl2, std::move(f));
       }));
     }
@@ -848,11 +850,11 @@ std::span<const std::uint8_t> OverlayNode::control_suffix_for_sign(const LinkFra
   NodeId origin = kInvalidNode;
   std::uint64_t seq = 0;
   std::uint32_t incarnation = 0;
-  if (const auto* lsa = std::any_cast<LinkStateAd>(&f.control)) {
+  if (const auto* lsa = f.control.get<LinkStateAd>()) {
     origin = lsa->origin;
     seq = lsa->seq;
     incarnation = lsa->incarnation;
-  } else if (const auto* gsa = std::any_cast<GroupStateAd>(&f.control)) {
+  } else if (const auto* gsa = f.control.get<GroupStateAd>()) {
     origin = gsa->origin;
     seq = gsa->seq;
     incarnation = gsa->incarnation;
@@ -875,7 +877,7 @@ std::span<const std::uint8_t> OverlayNode::control_suffix_for_sign(const LinkFra
 }
 
 void OverlayNode::handle_lsa(const LinkFrame& f) {
-  const auto* ad = std::any_cast<LinkStateAd>(&f.control);
+  const auto* ad = f.control.get<LinkStateAd>();
   if (ad == nullptr) return;
   // Any flood is membership evidence, even a duplicate the db rejects.
   membership_.heard_from(ad->origin, ad->incarnation, sim_.now());
@@ -885,7 +887,7 @@ void OverlayNode::handle_lsa(const LinkFrame& f) {
 }
 
 void OverlayNode::handle_group_state(const LinkFrame& f) {
-  const auto* ad = std::any_cast<GroupStateAd>(&f.control);
+  const auto* ad = f.control.get<GroupStateAd>();
   if (ad == nullptr) return;
   membership_.heard_from(ad->origin, ad->incarnation, sim_.now());
   if (group_db_.apply(*ad)) {

@@ -347,7 +347,7 @@ class OverlayNode {
 
   // --- Link level / underlay ---
   void on_datagram(const net::Datagram& d);
-  void on_frame(LinkFrame f);
+  void on_frame(const LinkFrame& f);
   [[nodiscard]] static bool is_control_frame(FrameType t);
   void send_frame_on_link(NeighborLink& nl, LinkFrame f);
   NeighborLink* link_by_bit(LinkBit b);
@@ -372,7 +372,9 @@ class OverlayNode {
 
   // --- State flooding ---
   void refresh_link_ad(bool force_flood);
-  void flood_control(FrameType type, std::any control, LinkBit arrived_on);
+  /// Floods one advertisement on every link but `arrived_on`, flood_copies
+  /// times each. Every frame of the fan-out carries the same `ad` handle.
+  void flood_control(FrameType type, const net::PayloadRef& ad, LinkBit arrived_on);
   /// Sign-side serialize-once cache for flooded advertisement bodies: the
   /// auth suffix of an LSA/GSA depends only on (type, origin, incarnation,
   /// seq), so a K-link x flood_copies fan-out of one ad serializes it once

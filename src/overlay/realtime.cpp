@@ -16,7 +16,7 @@ RealtimeEndpointBase::~RealtimeEndpointBase() {
 
 bool RealtimeEndpointBase::send(Message msg) {
   const std::uint64_t seq = next_seq_++;
-  history_.emplace(seq, Sent{msg, ctx_.simulator().now()});
+  history_.put(seq, Sent{msg, ctx_.simulator().now()});
 
   LinkFrame f;
   f.link = ctx_.link();
@@ -34,9 +34,8 @@ bool RealtimeEndpointBase::send(Message msg) {
 
 void RealtimeEndpointBase::prune_history() {
   const sim::TimePoint cutoff = ctx_.simulator().now() - cfg_.rt_sender_history;
-  while (!history_.empty() && history_.begin()->second.sent_at < cutoff) {
-    burst_scheduled_.erase(history_.begin()->first);
-    history_.erase(history_.begin());
+  while (!history_.empty() && history_.front().value.sent_at < cutoff) {
+    history_.erase(history_.front().seq);
   }
   if (burst_timers_.size() > 65536) burst_timers_.clear();  // all long fired
 }
@@ -45,13 +44,13 @@ void RealtimeEndpointBase::handle_request(const LinkFrame& f) {
   for (const std::uint64_t seq : f.ids) {
     // "The sender, upon receipt of the first request for a retransmission,
     // will schedule M retransmissions" — subsequent requests are no-ops.
-    if (burst_scheduled_.contains(seq)) continue;
-    const auto it = history_.find(seq);
-    if (it == history_.end()) continue;  // too old; nothing we can do
-    burst_scheduled_.insert(seq);
+    Sent* sent = history_.find(seq);
+    if (sent == nullptr) continue;  // too old; nothing we can do
+    if (sent->burst_scheduled) continue;
+    sent->burst_scheduled = true;
 
     const std::uint8_t m = std::max<std::uint8_t>(
-        1, nm_mode_ ? it->second.msg.hdr.nm_retransmissions : 1);
+        1, nm_mode_ ? sent->msg.hdr.nm_retransmissions : 1);
     // Space the M retransmissions across the responder budget the receiver
     // granted us, minus the one-way trip for the final copy.
     sim::Duration spacing = sim::Duration::zero();
@@ -62,8 +61,8 @@ void RealtimeEndpointBase::handle_request(const LinkFrame& f) {
     for (std::uint8_t j = 0; j < m; ++j) {
       const sim::Duration at = spacing * static_cast<std::int64_t>(j);
       burst_timers_.push_back(ctx_.simulator().schedule(at, [this, seq]() {
-        const auto hit = history_.find(seq);
-        if (hit == history_.end()) return;
+        const Sent* hit = history_.find(seq);
+        if (hit == nullptr) return;
         LinkFrame rf;
         rf.link = ctx_.link();
         rf.from = ctx_.self();
@@ -71,7 +70,7 @@ void RealtimeEndpointBase::handle_request(const LinkFrame& f) {
         rf.proto = protocol();
         rf.type = FrameType::kRetransmission;
         rf.seq = seq;
-        rf.msg = hit->second.msg;
+        rf.msg = hit->msg;
         ctx_.send_frame(std::move(rf));
         ++stats_.retransmissions_sent;
       }));
@@ -152,8 +151,13 @@ void RealtimeEndpointBase::handle_data(const LinkFrame& f) {
     ++stats_.duplicates;
     return;
   }
-  seen_.insert(seq);
-  // Compact the seen set from the floor.
+  // In-order arrivals advance the floor directly; only out-of-order seqs
+  // enter the seen set, which is then compacted from the floor.
+  if (seq == seen_floor_ + 1) {
+    ++seen_floor_;
+  } else {
+    seen_.insert(seq);
+  }
   while (seen_.contains(seen_floor_ + 1)) {
     seen_.erase(seen_floor_ + 1);
     ++seen_floor_;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "overlay/link_protocols.hpp"
+#include "overlay/seq_window.hpp"
 
 namespace son::overlay {
 
@@ -43,15 +44,15 @@ class RealtimeEndpointBase : public LinkProtocolEndpoint {
   struct Sent {
     Message msg;
     sim::TimePoint sent_at;
+    /// An M-burst is already scheduled for this seq ("upon receipt of the
+    /// first request": later requests for the same packet are ignored).
+    bool burst_scheduled = false;
   };
   void prune_history();
   void handle_request(const LinkFrame& f);
 
   std::uint64_t next_seq_ = 1;
-  std::map<std::uint64_t, Sent> history_;
-  /// Seqs for which an M-burst is already scheduled ("upon receipt of the
-  /// first request": later requests for the same packet are ignored).
-  std::set<std::uint64_t> burst_scheduled_;
+  SeqWindow<Sent> history_;
   std::vector<sim::EventId> burst_timers_;
 
   // --- Receiver role ---

@@ -45,7 +45,7 @@ bool ReliableLinkEndpoint::send(Message msg) {
     return false;
   }
   const std::uint64_t seq = next_seq_++;
-  unacked_.emplace(seq, Unacked{msg, ctx_.simulator().now(), 1, rto()});
+  unacked_.put(seq, Unacked{msg, ctx_.simulator().now(), 1, rto()});
   transmit_data(seq, msg, false);
   arm_retransmit_timer();
   return true;
@@ -70,9 +70,9 @@ void ReliableLinkEndpoint::transmit_data(std::uint64_t seq, const Message& msg, 
   }
 }
 
-sim::TimePoint ReliableLinkEndpoint::next_rto_deadline() const {
+sim::TimePoint ReliableLinkEndpoint::next_rto_deadline() {
   sim::TimePoint earliest = sim::TimePoint::max();
-  for (const auto& [seq, u] : unacked_) {
+  for (const auto [seq, u] : unacked_) {
     earliest = std::min(earliest, u.last_sent + u.rto);
   }
   return earliest;
@@ -97,7 +97,7 @@ void ReliableLinkEndpoint::arm_retransmit_timer() {
 
 void ReliableLinkEndpoint::on_retransmit_timer() {
   const sim::TimePoint now = ctx_.simulator().now();
-  for (auto& [seq, u] : unacked_) {
+  for (auto [seq, u] : unacked_) {
     if (now - u.last_sent >= u.rto) {
       u.last_sent = now;
       ++u.sends;
@@ -118,7 +118,7 @@ void ReliableLinkEndpoint::on_retransmit_timer() {
 
 void ReliableLinkEndpoint::handle_ack(const LinkFrame& f) {
   // Cumulative ack.
-  unacked_.erase(unacked_.begin(), unacked_.upper_bound(f.cum_ack));
+  unacked_.erase_through(f.cum_ack);
   // SACK inference. The nack walk in send_ack() enumerates EVERY hole up to
   // its bound, so a seq in (cum_ack, bound] that is absent from f.ids was in
   // the peer's out-of-order set — received, just not yet covered by the
@@ -133,27 +133,25 @@ void ReliableLinkEndpoint::handle_ack(const LinkFrame& f) {
                                             : (f.ids.empty() ? 0 : f.ids.back());
   if (sack_bound > f.cum_ack) {
     auto nack = f.ids.begin();
-    for (auto it = unacked_.begin(); it != unacked_.end() && it->first <= sack_bound;) {
-      while (nack != f.ids.end() && *nack < it->first) ++nack;
-      if (nack != f.ids.end() && *nack == it->first) {
-        ++it;  // still a hole at the peer: keep tracking
-      } else {
-        ++stats_.sacked;
-        it = unacked_.erase(it);
-      }
+    for (const auto [seq, u] : unacked_) {
+      if (seq > sack_bound) break;
+      while (nack != f.ids.end() && *nack < seq) ++nack;
+      if (nack != f.ids.end() && *nack == seq) continue;  // still a hole at the peer
+      ++stats_.sacked;
+      unacked_.erase(seq);
     }
   }
   // Explicit nacks: retransmit immediately.
   const sim::TimePoint now = ctx_.simulator().now();
   for (const std::uint64_t seq : f.ids) {
-    const auto it = unacked_.find(seq);
-    if (it == unacked_.end()) continue;
+    Unacked* u = unacked_.find(seq);
+    if (u == nullptr) continue;
     // Avoid re-sending something sent a moment ago (the nack may have
     // crossed our retransmission in flight).
-    if (now - it->second.last_sent < ctx_.rtt_estimate() / 2) continue;
-    it->second.last_sent = now;
-    ++it->second.sends;
-    transmit_data(seq, it->second.msg, true);
+    if (now - u->last_sent < ctx_.rtt_estimate() / 2) continue;
+    u->last_sent = now;
+    ++u->sends;
+    transmit_data(seq, u->msg, true);
   }
   if (unacked_.empty() && retransmit_timer_ != sim::kInvalidEventId) {
     ctx_.simulator().cancel(retransmit_timer_);

@@ -15,6 +15,7 @@
 
 #include "obs/counters.hpp"
 #include "overlay/link_protocols.hpp"
+#include "overlay/seq_window.hpp"
 
 namespace son::overlay {
 
@@ -68,10 +69,10 @@ class ReliableLinkEndpoint final : public LinkProtocolEndpoint {
   void handle_ack(const LinkFrame& f);
   [[nodiscard]] sim::Duration rto() const;
   /// Earliest last_sent + rto across unacked_ (must be non-empty).
-  [[nodiscard]] sim::TimePoint next_rto_deadline() const;
+  [[nodiscard]] sim::TimePoint next_rto_deadline();
 
   std::uint64_t next_seq_ = 1;
-  std::map<std::uint64_t, Unacked> unacked_;
+  SeqWindow<Unacked> unacked_;
   sim::EventId retransmit_timer_ = sim::kInvalidEventId;
   /// When the armed retransmit timer fires; lets a new send with an earlier
   /// deadline re-arm instead of waiting behind a backed-off entry.

@@ -130,6 +130,17 @@ TEST(Hmac, Rfc4231Case7) {
             "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
+// Empty key over an empty message (value from Python's hmac module). An
+// empty vector's data() is null: the key pad and a buffered Sha256::update
+// must not hand it to memcpy.
+TEST(Hmac, EmptyKeyEmptyMessage) {
+  const std::vector<std::uint8_t> empty;
+  EXPECT_EQ(to_hex(hmac_sha256(empty, empty)),
+            "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+  // Two-span form: an empty body after a partial-block head.
+  EXPECT_EQ(hmac_sha256(empty, bytes("abc"), empty), hmac_sha256(empty, bytes("abc")));
+}
+
 TEST(Hmac, TagTruncationIsPrefix) {
   const auto key = bytes("k");
   const auto msg = bytes("m");
