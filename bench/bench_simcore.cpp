@@ -288,7 +288,7 @@ exp::Metrics shard_ring(unsigned workers, Duration dur, std::uint64_t seed) {
   for (std::uint32_t p = 0; p < kParts; ++p) {
     spinners.push_back(std::make_unique<Spinner>(
         Spinner{k, *next[p], sim::component_stream(seed, p, /*component=*/1, 0), p, stop}));
-    // son-lint: allow(cross-shard) "coordinator seeding each partition's own queue before the run"
+    // son-analyze: allow(cross-shard) "coordinator seeding each partition's own queue before the run"
     k.shard_sim(p).schedule_at(sim::TimePoint::zero(),
                                [s = spinners.back().get()]() { s->tick(); });
   }

@@ -19,7 +19,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== lint (son-lint + clang-tidy/cppcheck when installed) =="
+echo "== lint (son-analyze + clang-tidy/cppcheck when installed) =="
 BUILD_DIR="$BUILD_DIR" bash "$ROOT/scripts/lint.sh"
 
 echo "== quick benches =="

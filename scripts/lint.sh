@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# One-shot static-analysis driver: son-lint (always), clang-tidy and cppcheck
-# (when installed). Invoked by `cmake --build <build> --target lint` with
-# BUILD_DIR set, or directly: scripts/lint.sh [build-dir].
+# One-shot static-analysis runner: son-analyze (always), clang-tidy and
+# cppcheck (when installed). Invoked by `cmake --build <build> --target lint`
+# with BUILD_DIR set, or directly: scripts/lint.sh [build-dir].
 #
 # Exit code is non-zero if ANY enabled leg reports findings; legs whose tool
-# is missing are skipped with a notice so the son-lint determinism rules stay
-# enforceable on boxes without clang tooling.
+# is missing are skipped with a notice so the son-analyze determinism and
+# shard rules stay enforceable on boxes without clang tooling.
 set -u -o pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -13,20 +13,12 @@ BUILD_DIR="${BUILD_DIR:-${1:-$ROOT/build}}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 status=0
 
-echo "== son-lint (determinism rules) =="
+echo "== son-analyze (determinism constructs, shard confinement, timers, hot paths) =="
 if command -v python3 >/dev/null 2>&1; then
   mkdir -p "$BUILD_DIR"
-  python3 "$ROOT/tools/son_lint/son_lint.py" --root "$ROOT" \
-    --json "$BUILD_DIR/son_lint_report.json" src bench || status=1
-else
-  echo "python3 not found — cannot run son-lint" >&2
-  status=1
-fi
-
-echo "== son-analyze (whole-program: shard confinement, timers, hot paths) =="
-if command -v python3 >/dev/null 2>&1; then
-  mkdir -p "$BUILD_DIR"
-  analyze_args=(--root "$ROOT"
+  # The structural engine keeps the verdict independent of whether the
+  # libclang binding is installed.
+  analyze_args=(--root "$ROOT" --engine structural
                 --json "$BUILD_DIR/son_analyze_report.json"
                 --sarif "$BUILD_DIR/son_analyze.sarif")
   # A configured build narrows the file set to what actually compiles (and

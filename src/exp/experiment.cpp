@@ -123,10 +123,10 @@ Report Experiment::run() const {
     });
   }
 
-  // son-lint: allow(wall-clock) "wall_clock_s lands in the report's machine-dependent run section, never in results"
+  // son-analyze: allow(wall-clock) "wall_clock_s lands in the report's machine-dependent run section, never in results"
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<Metrics> results = runner.run(trials);
-  // son-lint: allow(wall-clock) "see above; timing the runner, not simulated time"
+  // son-analyze: allow(wall-clock) "see above; timing the runner, not simulated time"
   const auto t1 = std::chrono::steady_clock::now();
 
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -340,11 +340,6 @@ void Internet::drop(PartState& ps, const Datagram& d, DropReason reason) {
   // stay single-writer under parallel execution.
   SON_OBS(static_cast<std::uint16_t>(obs::kSystemNode - ps.index), obs::Category::kDrop, reason,
           d.id, (static_cast<std::uint64_t>(d.src) << 32) | d.dst);
-  if (tracer_.enabled(sim::TraceLevel::kDebug)) {
-    trace(sim::TraceLevel::kDebug, "drop pkt " + std::to_string(d.id) + " " +
-                                       hosts_[d.src].name + "->" + hosts_[d.dst].name + ": " +
-                                       to_string(reason));
-  }
 }
 
 // ---- Failures / control ----------------------------------------------------

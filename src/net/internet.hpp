@@ -25,7 +25,6 @@
 #include "sim/hot.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace son::sim {
 class ShardedKernel;
@@ -157,8 +156,6 @@ class Internet {
   /// excluding access links. Used by the multicast-efficiency benchmark.
   [[nodiscard]] std::uint64_t backbone_bytes_carried() const;
 
-  void set_tracer(sim::Tracer tracer) { tracer_ = std::move(tracer); }
-
   /// Testing hook: rehashes the route caches to at least `buckets` buckets.
   /// Results must be invariant under any hash-table layout — the golden-run
   /// suite re-runs scenarios with different bucket counts (including a
@@ -257,15 +254,9 @@ class Internet {
   /// cache clear) instead of scheduling one each.
   void schedule_convergence(std::function<void()> apply_belief);
 
-  void trace(sim::TraceLevel lvl, const std::string& msg) const {
-    if (!tracer_.enabled(lvl)) return;
-    tracer_.emit(sim_.now(), lvl, "internet", msg);
-  }
-
   sim::Simulator& sim_;
   sim::Rng rng_;
   Config cfg_;
-  sim::Tracer tracer_;
 
   std::vector<std::string> isps_;
   std::vector<Router> routers_;

@@ -34,6 +34,7 @@ const char* to_string(LinkEvent e) {
     case LinkEvent::kNackBatch: return "nack_batch";
     case LinkEvent::kFailover: return "failover";
     case LinkEvent::kRtoBackoff: return "rto_backoff";
+    case LinkEvent::kPeerRestart: return "peer_restart";
   }
   return "unknown";
 }
@@ -42,6 +43,7 @@ const char* to_string(RouteEvent e) {
   switch (e) {
     case RouteEvent::kNoRoute: return "no_route";
     case RouteEvent::kTtlExpired: return "ttl_expired";
+    case RouteEvent::kOriginEvicted: return "origin_evicted";
   }
   return "unknown";
 }

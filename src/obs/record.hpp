@@ -31,12 +31,14 @@ enum class LinkEvent : std::uint8_t {
   kNackBatch = 1,    // a = nacks in the ack frame, b = cumulative ack
   kFailover = 2,     // a = link bit, b = new active channel
   kRtoBackoff = 3,   // a = link seq, b = new RTO in ns
+  kPeerRestart = 4,  // a = link bit, b = the peer's new incarnation
 };
 
 /// Codes for Category::kRoute.
 enum class RouteEvent : std::uint8_t {
   kNoRoute = 0,      // a = destination node
   kTtlExpired = 1,   // a = origin_id
+  kOriginEvicted = 2,  // a = departed origin, b = router cache entries dropped
 };
 
 /// Codes for Category::kPath — one per overlay hop of a sampled message.

@@ -22,6 +22,25 @@ std::uint64_t flow_key_of(NodeId origin, VirtualPort port, const Destination& d)
                (std::uint64_t{d.node} << 32) ^ (std::uint64_t{d.port} << 16) ^ d.group);
   return k;
 }
+
+/// Liveness-prober up-hysteresis: consecutive hello replies needed before a
+/// dead channel is declared alive again (1 = a single reply revives it).
+constexpr std::uint32_t kHelloUpThreshold = 1;
+/// Sliding window (in hellos) for per-channel loss estimation.
+constexpr std::size_t kHelloWindow = 50;
+/// Immediate floods are sent this many times, spaced, for robustness.
+constexpr std::uint32_t kFloodCopies = 2;
+constexpr sim::Duration kFloodSpacing = sim::Duration::milliseconds(15);
+/// Re-advertise when measured latency changes by this fraction or loss by
+/// this absolute amount (avoids LSA churn).
+constexpr double kLsaLatencyRelChange = 0.25;
+constexpr double kLsaLossAbsChange = 0.01;
+/// Per-frame processing cost at this node (§II-D: "less than 1ms additional
+/// latency per intermediate overlay node").
+constexpr sim::Duration kProcessingDelay = sim::Duration::microseconds(100);
+/// Hold time for destination reorder buffers (ordered flows without a
+/// deadline).
+constexpr sim::Duration kReorderHold = sim::Duration::milliseconds(200);
 }  // namespace
 
 /// LinkContext implementation bridging a protocol endpoint to its node.
@@ -77,7 +96,7 @@ OverlayNode::OverlayNode(sim::Simulator& sim, net::Internet& internet, net::Host
       group_db_{topo_db_.base_graph().num_nodes()},
       router_{id, topo_db_, group_db_},
       membership_{topo_db_.base_graph().num_nodes()} {
-  const LivenessProber::Config prober_cfg{cfg_.hello_miss_threshold, cfg_.hello_up_threshold};
+  const LivenessProber::Config prober_cfg{cfg_.hello_miss_threshold, kHelloUpThreshold};
   for (auto& spec : neighbors) {
     NeighborLink nl;
     nl.spec = spec;
@@ -276,7 +295,7 @@ void OverlayNode::deliver_to_session(const Message& msg) {
     if (it == reorder_.end()) {
       const sim::Duration hold = msg.hdr.deadline > sim::Duration::zero()
                                      ? msg.hdr.deadline
-                                     : cfg_.reorder_hold;
+                                     : kReorderHold;
       it = reorder_
                .emplace(msg.hdr.flow_key,
                         std::make_unique<ReorderBuffer>(
@@ -512,7 +531,7 @@ void OverlayNode::send_frame_on_link(NeighborLink& nl, LinkFrame f) {
   ++stats_.frames_sent;
 
   // The user-level stack traversal cost (§II-D): well under 1 ms per node.
-  sim_.schedule(cfg_.processing_delay,
+  sim_.schedule(kProcessingDelay,
                 timer_guard_.wrap([this, d = std::move(d), attach]() mutable {
                   net::Internet::SendOptions opts;
                   opts.src_attach = attach.local;
@@ -536,7 +555,7 @@ void OverlayNode::restart() {
   reorder_.clear();
   flow_stats_.clear();
   sign_suffix_valid_ = false;
-  const LivenessProber::Config prober_cfg{cfg_.hello_miss_threshold, cfg_.hello_up_threshold};
+  const LivenessProber::Config prober_cfg{cfg_.hello_miss_threshold, kHelloUpThreshold};
   for (auto& nl : links_) {
     nl.endpoints.clear();
     nl.active_channel = 0;
@@ -585,11 +604,8 @@ bool OverlayNode::admit_peer_incarnation(NeighborLink& nl, const LinkFrame& f) {
     // have empty windows, so every per-link protocol endpoint for this
     // neighbor is reset (both roles live in the same endpoint objects).
     nl.endpoints.clear();
-    if (tracer_.enabled(sim::TraceLevel::kInfo)) {
-      trace(sim::TraceLevel::kInfo,
-            "peer " + std::to_string(nl.spec.peer) + " restarted (incarnation " +
-                std::to_string(f.incarnation) + "); link state reset");
-    }
+    SON_OBS(id_, obs::Category::kLink, obs::LinkEvent::kPeerRestart, nl.spec.link,
+            f.incarnation);
   }
   return true;
 }
@@ -610,10 +626,7 @@ void OverlayNode::sweep_departed_origins() {
     ++stats_.origin_evictions;
     obs_origin_evictions_.add();
     if (cache_entries > 0) obs_cache_evictions_.add(cache_entries);
-    if (tracer_.enabled(sim::TraceLevel::kInfo)) {
-      trace(sim::TraceLevel::kInfo,
-            "origin " + std::to_string(origin) + " departed; state evicted");
-    }
+    SON_OBS(id_, obs::Category::kRoute, obs::RouteEvent::kOriginEvicted, origin, cache_entries);
   }
 }
 
@@ -686,7 +699,7 @@ void OverlayNode::hello_tick() {
       for (auto it = ch.outstanding.begin(); it != ch.outstanding.end();) {
         if (now - it->second >= hello_timeout) {
           ch.window.push_back(false);
-          if (ch.window.size() > cfg_.hello_window) ch.window.pop_front();
+          if (ch.window.size() > kHelloWindow) ch.window.pop_front();
           ch.prober.on_miss();
           it = ch.outstanding.erase(it);
         } else {
@@ -741,7 +754,7 @@ void OverlayNode::handle_hello_reply(const LinkFrame& f) {
   const sim::Duration rtt = sim_.now() - f.t_sent;
   ch.srtt = ch.srtt * 0.875 + rtt * 0.125;
   ch.window.push_back(true);
-  if (ch.window.size() > cfg_.hello_window) ch.window.pop_front();
+  if (ch.window.size() > kHelloWindow) ch.window.pop_front();
   if (ch.prober.on_success()) {
     evaluate_link(*nl);
     refresh_link_ad(/*force_flood=*/false);
@@ -774,11 +787,6 @@ void OverlayNode::evaluate_link(NeighborLink& nl) {
     obs_failovers_.add();
     SON_OBS(id_, obs::Category::kLink, obs::LinkEvent::kFailover, nl.spec.link,
             static_cast<std::uint64_t>(best));
-    if (tracer_.enabled(sim::TraceLevel::kInfo)) {
-      trace(sim::TraceLevel::kInfo,
-            "link " + std::to_string(nl.spec.link) + " failover to channel " +
-                std::to_string(best));
-    }
   }
   if (best != -1) nl.active_channel = best;
   nl.up = best != -1;
@@ -796,8 +804,8 @@ void OverlayNode::refresh_link_ad(bool force_flood) {
     const double loss = channel_loss(ch);
     if (nl.up != nl.adv_up ||
         std::abs(lat - nl.adv_latency_ms) >
-            cfg_.lsa_latency_rel_change * std::max(nl.adv_latency_ms, 0.1) ||
-        std::abs(loss - nl.adv_loss) > cfg_.lsa_loss_abs_change) {
+            kLsaLatencyRelChange * std::max(nl.adv_latency_ms, 0.1) ||
+        std::abs(loss - nl.adv_loss) > kLsaLossAbsChange) {
       changed = true;
     }
   }
@@ -828,8 +836,8 @@ void OverlayNode::flood_control(FrameType type, const net::PayloadRef& ad, LinkB
   if (flood_timers_.size() > 65536) flood_timers_.clear();  // long fired
   for (auto& nl : links_) {
     if (nl.spec.link == arrived_on) continue;
-    for (std::uint32_t copy = 0; copy < cfg_.flood_copies; ++copy) {
-      const sim::Duration at = cfg_.flood_spacing * static_cast<std::int64_t>(copy);
+    for (std::uint32_t copy = 0; copy < kFloodCopies; ++copy) {
+      const sim::Duration at = kFloodSpacing * static_cast<std::int64_t>(copy);
       const LinkBit bit = nl.spec.link;
       flood_timers_.push_back(sim_.schedule(at, [this, bit, type, ad]() {
         NeighborLink* nl2 = link_by_bit(bit);

@@ -24,7 +24,6 @@
 #include "overlay/routing.hpp"
 #include "sim/random.hpp"
 #include "sim/timer_guard.hpp"
-#include "sim/trace.hpp"
 
 namespace son::overlay {
 
@@ -34,13 +33,6 @@ struct NodeConfig {
   /// or, if none is alive, is advertised down (then: sub-second rerouting).
   sim::Duration hello_interval = sim::Duration::milliseconds(100);
   std::uint32_t hello_miss_threshold = 3;
-  /// Liveness-prober up-hysteresis: consecutive hello replies needed before
-  /// a dead channel is declared alive again. 1 = a single reply revives (the
-  /// original behavior); churn deployments raise it so one lucky reply
-  /// through a flapping path does not re-advertise the link up.
-  std::uint32_t hello_up_threshold = 1;
-  /// Sliding window (in hellos) for per-channel loss estimation.
-  std::size_t hello_window = 50;
 
   /// Periodic re-advertisement of own link/group state (repairs lost floods).
   sim::Duration state_refresh = sim::Duration::seconds(1);
@@ -51,22 +43,6 @@ struct NodeConfig {
   /// behavior); churn deployments set ~3-4x state_refresh so a live origin's
   /// periodic re-floods comfortably outrun the timeout.
   sim::Duration dead_origin_timeout = sim::Duration::zero();
-  /// Immediate floods are sent this many times, spaced, for robustness.
-  std::uint32_t flood_copies = 2;
-  sim::Duration flood_spacing = sim::Duration::milliseconds(15);
-
-  /// Re-advertise when measured latency changes by this fraction or loss by
-  /// this absolute amount (avoids LSA churn).
-  double lsa_latency_rel_change = 0.25;
-  double lsa_loss_abs_change = 0.01;
-
-  /// Per-frame processing cost at this node (§II-D: "less than 1ms
-  /// additional latency per intermediate overlay node").
-  sim::Duration processing_delay = sim::Duration::microseconds(100);
-
-  /// Hold time for destination reorder buffers (ordered flows without a
-  /// deadline).
-  sim::Duration reorder_hold = sim::Duration::milliseconds(200);
 
   /// Ablation knob: route on expected latency including loss penalty (the
   /// design) vs raw latency only.
@@ -254,8 +230,6 @@ class OverlayNode {
   /// (dynamic_cast to the concrete endpoint type to read its Stats).
   [[nodiscard]] LinkProtocolEndpoint* find_endpoint(LinkBit b, LinkProtocol proto);
 
-  void set_tracer(sim::Tracer t) { tracer_ = std::move(t); }
-
   struct ForwardAuthResult {
     LinkBit egress = kInvalidLinkBit;  // routed outgoing link
     bool verified = false;
@@ -281,7 +255,7 @@ class OverlayNode {
   struct ChannelState {
     Channel attach;
     /// Up/down hysteresis over hello outcomes (configured from
-    /// hello_miss_threshold / hello_up_threshold).
+    /// hello_miss_threshold and kHelloUpThreshold in node.cpp).
     LivenessProber prober;
     std::uint64_t next_hello_seq = 1;
     std::map<std::uint64_t, sim::TimePoint> outstanding;  // hello seq -> sent
@@ -372,12 +346,12 @@ class OverlayNode {
 
   // --- State flooding ---
   void refresh_link_ad(bool force_flood);
-  /// Floods one advertisement on every link but `arrived_on`, flood_copies
+  /// Floods one advertisement on every link but `arrived_on`, kFloodCopies
   /// times each. Every frame of the fan-out carries the same `ad` handle.
   void flood_control(FrameType type, const net::PayloadRef& ad, LinkBit arrived_on);
   /// Sign-side serialize-once cache for flooded advertisement bodies: the
   /// auth suffix of an LSA/GSA depends only on (type, origin, incarnation,
-  /// seq), so a K-link x flood_copies fan-out of one ad serializes it once
+  /// seq), so a K-link x kFloodCopies fan-out of one ad serializes it once
   /// and the remaining copies reuse the cached bytes (each still gets its
   /// own per-peer midstate HMAC). Sign-side only by design: caching on the
   /// VERIFY side would let an attacker poison the cache for an
@@ -388,18 +362,12 @@ class OverlayNode {
   void handle_group_state(const LinkFrame& f);
   void state_refresh_tick();
 
-  void trace(sim::TraceLevel lvl, const std::string& msg) const {
-    if (!tracer_.enabled(lvl)) return;  // skip the component-string format too
-    tracer_.emit(sim_.now(), lvl, "node/" + std::to_string(id_), msg);
-  }
-
   sim::Simulator& sim_;
   net::Internet& internet_;
   net::HostId host_;
   NodeId id_;
   NodeConfig cfg_;
   sim::Rng rng_;
-  sim::Tracer tracer_;
 
   TopologyDb topo_db_;
   GroupDb group_db_;

@@ -174,7 +174,11 @@ std::uint64_t ShardedKernel::run_until(TimePoint deadline) {
     if (!closing) continue;
 
     // Every partition is quiesced at `barrier`: global events at that instant
-    // run now, before any partition event at the same time.
+    // run now, before any partition event at the same time. run_before left
+    // each partition clock at its last fired event; bring them up to the
+    // barrier so whatever a global event schedules on a partition is timed
+    // from now, not from that partition's committed past.
+    for (Part& p : parts_) p.sim.advance_to(barrier);
     run_control_until(barrier);
     if (barrier < deadline) continue;
 

@@ -108,7 +108,7 @@ class ShardedKernel {
 
   /// A partition's private simulator. Schedule on it only from that
   /// partition's own events (or from the coordinator before/between runs) —
-  /// cross-partition scheduling must go through a ShardChannel (son-lint's
+  /// cross-partition scheduling must go through a ShardChannel (son-analyze's
   /// cross-shard rule flags direct violations).
   [[nodiscard]] Simulator& shard_sim(PartitionId p) { return parts_[p].sim; }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "sim/check.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
@@ -48,6 +49,15 @@ class Simulator {
   /// exactly the horizon may still be preceded by a same-instant cross-shard
   /// arrival, so it belongs to a later round. Returns events fired.
   std::uint64_t run_before(TimePoint bound);
+
+  /// Moves the clock forward to `t` without firing anything; every pending
+  /// event must be at or after `t`. The sharded kernel calls it at a round
+  /// barrier, where every earlier event has fired, so global events read the
+  /// barrier time from each partition clock.
+  void advance_to(TimePoint t) {
+    SON_DCHECK(next_event_time() >= t, "advance_to would skip a pending event");
+    if (now_ < t) now_ = t;
+  }
 
   /// Convenience: run_until(now() + d).
   std::uint64_t run_for(Duration d) { return run_until(now_ + d); }

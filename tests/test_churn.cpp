@@ -5,11 +5,13 @@
 // per-link protocol reset on a peer's restart, per-source-tag IT fairness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
 
 #include "client/traffic.hpp"
+#include "obs/recorder.hpp"
 #include "overlay/churn.hpp"
 #include "overlay/membership.hpp"
 #include "overlay/network.hpp"
@@ -228,6 +230,9 @@ TEST(MembershipIntegration, CrashedNodeIsDepartedAndRejoinsOnRestart) {
   GraphOptions gopts;
   gopts.node.dead_origin_timeout = 2500_ms;
   auto fx = build_graph_fixture(sim, circulant_topology(8), gopts, sim::Rng{31});
+  obs::Recorder rec{fx.overlay->size(), 1 << 12};
+  rec.attach(sim);
+  obs::ScopedRecorder scope{rec};
   fx.overlay->settle(3_s);
   constexpr GroupId kG = 60;
   auto& member = fx.overlay->node(4).connect(10);
@@ -256,6 +261,21 @@ TEST(MembershipIntegration, CrashedNodeIsDepartedAndRejoinsOnRestart) {
   EXPECT_GE(observer.membership().entry(4).joins, 2u);
   EXPECT_TRUE(observer.groups().is_member(4, kG));
   EXPECT_FALSE(std::isinf(observer.router().path_cost_to(4)));
+
+  // The flight recorder saw both membership events: the observer evicting
+  // origin 4, and node 4's neighbors resetting their links to its new
+  // incarnation.
+  const auto records = rec.merged();
+  const auto is = [](const obs::EventRecord& r, obs::Category c, auto code) {
+    return r.category == static_cast<std::uint8_t>(c) &&
+           r.code == static_cast<std::uint8_t>(code);
+  };
+  EXPECT_TRUE(std::any_of(records.begin(), records.end(), [&](const obs::EventRecord& r) {
+    return r.node == 0 && r.a == 4 && is(r, obs::Category::kRoute, obs::RouteEvent::kOriginEvicted);
+  }));
+  EXPECT_TRUE(std::any_of(records.begin(), records.end(), [&](const obs::EventRecord& r) {
+    return r.node != 4 && r.b == 1 && is(r, obs::Category::kLink, obs::LinkEvent::kPeerRestart);
+  }));
 }
 
 // ---- Regression: dedup across a restart -------------------------------------

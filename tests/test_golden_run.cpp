@@ -39,7 +39,7 @@ struct GoldenResult {
 /// up-front rehash plus a second rehash mid-run (t = 2s, between the failure
 /// bursts). Results must be bit-identical for ANY value — nothing in a
 /// result path may observe unordered-container iteration order (the same
-/// contract son-lint's unordered-iter rule enforces statically).
+/// contract son-analyze's unordered-iter rule enforces statically).
 GoldenResult run_golden_scenario(std::size_t cache_buckets = 0) {
   sim::Simulator sim;
   net::Internet::Config cfg;

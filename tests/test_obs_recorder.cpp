@@ -1,8 +1,10 @@
 // Flight recorder: ring semantics, deterministic merge order, macro cost
 // contract (arguments unevaluated when disabled), trace-file round trip,
-// and a pinned end-to-end path trace for a k=2 disjoint-path flow.
+// a node's channel-failover record, and a pinned end-to-end path trace for
+// a k=2 disjoint-path flow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -109,6 +111,37 @@ TEST(ObsRecorder, ReadRejectsForeignFiles) {
   EXPECT_FALSE(Recorder::read(path).has_value());
   EXPECT_FALSE(Recorder::read(testing::TempDir() + "does_not_exist.trace").has_value());
   std::remove(path.c_str());
+}
+
+// ---- Node records -----------------------------------------------------------
+
+TEST(ObsRecorder, NodeRecordsChannelFailover) {
+  Simulator sim;
+  net::Internet inet{sim, sim::Rng{1}};
+  const auto map = topo::continental_us();
+  const auto u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
+  overlay::NodeConfig cfg;
+  overlay::OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{2}};
+  net.settle(3_s);
+
+  Recorder rec{net.size(), 1 << 10};
+  rec.attach(sim);
+  ScopedRecorder scope{rec};
+  const std::uint64_t failovers_before = net.node(0).stats().link_failovers;
+  const sim::TimePoint cut = sim.now();
+  inet.set_link_up(u.links_a[0], false);  // force channel failover on link 0
+  sim.run_for(2_s);
+
+  const auto m = rec.merged();
+  const auto at_node0 = std::count_if(m.begin(), m.end(), [&](const EventRecord& r) {
+    return r.node == 0 && r.category == static_cast<std::uint8_t>(Category::kLink) &&
+           r.code == static_cast<std::uint8_t>(LinkEvent::kFailover) && r.t_ns >= cut.ns();
+  });
+  EXPECT_GE(at_node0, 1);
+  // One record per failover the node counts: the record and the counter
+  // describe the same events.
+  EXPECT_EQ(static_cast<std::uint64_t>(at_node0),
+            net.node(0).stats().link_failovers - failovers_before);
 }
 
 // ---- End-to-end path trace --------------------------------------------------

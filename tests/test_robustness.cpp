@@ -1,10 +1,9 @@
-// Robustness: tracer coverage, congestion behaviour, failure-injection
-// fuzzing, and determinism of whole-overlay runs.
+// Robustness: congestion behaviour, failure-injection fuzzing, and
+// determinism of whole-overlay runs.
 #include <gtest/gtest.h>
 
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
-#include "sim/trace.hpp"
 
 namespace son {
 namespace {
@@ -13,52 +12,6 @@ using namespace son::sim::literals;
 using sim::Duration;
 using sim::Simulator;
 using sim::TimePoint;
-
-// ---- Tracer ---------------------------------------------------------------------
-
-TEST(Tracer, OffByDefaultAndFilterByLevel) {
-  sim::Tracer t;  // default: off
-  EXPECT_FALSE(t.enabled(sim::TraceLevel::kError));
-
-  std::vector<sim::Tracer::Record> records;
-  sim::Tracer capture{sim::TraceLevel::kWarn,
-                      [&](const sim::Tracer::Record& r) { records.push_back(r); }};
-  EXPECT_FALSE(capture.enabled(sim::TraceLevel::kInfo));
-  EXPECT_TRUE(capture.enabled(sim::TraceLevel::kWarn));
-  capture.emit(TimePoint::zero() + 1_ms, sim::TraceLevel::kInfo, "x", "suppressed");
-  capture.emit(TimePoint::zero() + 2_ms, sim::TraceLevel::kError, "y", "kept");
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].message, "kept");
-  EXPECT_EQ(records[0].component, "y");
-  EXPECT_EQ(records[0].time, TimePoint::zero() + 2_ms);
-}
-
-TEST(Tracer, LevelNames) {
-  EXPECT_EQ(to_string(sim::TraceLevel::kDebug), "DEBUG");
-  EXPECT_EQ(to_string(sim::TraceLevel::kError), "ERROR");
-}
-
-TEST(Tracer, NodeEmitsFailoverTrace) {
-  Simulator sim;
-  net::Internet inet{sim, sim::Rng{1}};
-  const auto map = topo::continental_us();
-  const auto u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
-  overlay::NodeConfig cfg;
-  overlay::OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{2}};
-  std::vector<std::string> messages;
-  net.node(0).set_tracer(sim::Tracer{sim::TraceLevel::kInfo,
-                                     [&](const sim::Tracer::Record& r) {
-                                       messages.push_back(r.message);
-                                     }});
-  net.settle(3_s);
-  inet.set_link_up(u.links_a[0], false);  // force channel failover on link 0
-  sim.run_for(2_s);
-  const bool saw_failover =
-      std::any_of(messages.begin(), messages.end(), [](const std::string& m) {
-        return m.find("failover") != std::string::npos;
-      });
-  EXPECT_TRUE(saw_failover);
-}
 
 // ---- Congestion -----------------------------------------------------------------
 

@@ -8,7 +8,7 @@
 //    reports per LinkBit, and journals exactly the edges whose cost moved;
 //  * Router evicts stale-version tree/mask cache entries instead of growing
 //    without bound;
-//  * anycast and multicast tie-breaking is deterministic (the son-lint
+//  * anycast and multicast tie-breaking is deterministic (the son-analyze
 //    determinism contract at the routing level).
 #include <gtest/gtest.h>
 

@@ -148,6 +148,27 @@ TEST(ShardGlobal, RunsAtBarrierBeforePartitionEventsAtSameInstant) {
   EXPECT_TRUE(seen_by_partition);
 }
 
+TEST(ShardGlobal, ReadsPartitionClocksAtTheBarrier) {
+  ShardedKernel k{2};
+  k.add_channel(0, 1, Duration::milliseconds(1));
+  Simulator& part = k.shard_sim(0);
+  part.schedule_at(at_ms(1), []() {});
+
+  // The partition's last event fired at 1 ms, but a global event at 10 ms
+  // must see the partition at 10 ms, and what it schedules there is timed
+  // from 10 ms — not from the partition's committed past.
+  TimePoint seen;
+  TimePoint follow_up;
+  k.schedule_global(at_ms(10), [&]() {
+    seen = part.now();
+    part.schedule(Duration::milliseconds(2), [&]() { follow_up = part.now(); });
+  });
+
+  k.run_until(at_ms(20));
+  EXPECT_EQ(seen, at_ms(10));
+  EXPECT_EQ(follow_up, at_ms(12));
+}
+
 TEST(ShardGlobal, RepeatedRunsAtSameDeadlineTerminate) {
   ShardedKernel k{2};
   k.add_channel(0, 1, Duration::milliseconds(1));

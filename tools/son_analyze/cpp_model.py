@@ -1,14 +1,16 @@
 """cpp_model — a pragmatic structural C++ model for son-analyze.
 
-son-analyze needs *whole-program* facts that the token-level son-lint cannot
-see: who calls whom (reachability from SON_HOT roots and partition entry
-points), which classes own `sim::EventId` members and whether their
-destructors cancel them, and where mutable namespace-scope state lives.
+Every file gets two views. Its stripped code — comments and string literals
+blanked by a real tokenizer, line structure kept — is what the per-line
+construct rules (wall-clock, raw-rand, ...) match. Its whole-program facts
+are what the flow rules need and no single line shows: who calls whom
+(reachability from SON_HOT roots and partition entry points), which classes
+own `sim::EventId` members and whether their destructors cancel them, and
+where mutable namespace-scope state lives.
 
-This module builds that model with a dependency-free structural parser:
-comments and strings are blanked by a real tokenizer (same approach as
-son-lint), then each file is scanned with an explicit scope stack that
-recognizes namespaces, classes, enums and function definitions — including
+The facts come from a dependency-free structural parser: each file's
+stripped code is scanned with an explicit scope stack that recognizes
+namespaces, classes, enums and function definitions — including
 out-of-line `Class::method` definitions, constructor member-init lists,
 `operator()`, and `= default/delete` declarations. Function bodies are kept
 as opaque text from which call sites and per-body facts (new-expressions,
@@ -31,17 +33,14 @@ from pathlib import Path
 SOURCE_EXTS = {".cpp", ".cc", ".cxx", ".hpp", ".hh", ".h", ".ipp"}
 
 # ---------------------------------------------------------------------------
-# Tokenizer: blank comments / string literals, collect suppression comments.
-# Generalized from son-lint's strip_code: the suppression tag is a parameter
-# so both tools share one comment grammar:  // <tag>: allow(rule) "reason"
+# Tokenizer: blank comments / string literals, collect suppression comments
+# of the one grammar:  // son-analyze: allow(rule) "reason"
 # ---------------------------------------------------------------------------
 
-
-def _suppress_re(tag: str) -> re.Pattern:
-    return re.compile(re.escape(tag) + r":\s*allow\(([\w\-, ]+)\)\s*(\"([^\"]*)\")?")
+_SUPPRESS_RE = re.compile(r"son-analyze:\s*allow\(([\w\-, ]+)\)\s*(\"([^\"]*)\")?")
 
 
-def strip_code(text: str, tag: str = "son-analyze", known_rules: set[str] | None = None):
+def strip_code(text: str, known_rules: set[str] | None = None):
     """Returns (code, suppressions, bad_suppression_lines).
 
     `code` mirrors `text` with comment and string-literal contents replaced
@@ -49,7 +48,6 @@ def strip_code(text: str, tag: str = "son-analyze", known_rules: set[str] | None
     suppresses its own line and the next). A suppression without a reason
     string, or naming an unknown rule, lands in bad_suppression_lines.
     """
-    sup_re = _suppress_re(tag)
     out = []
     suppressions: dict[int, set[str]] = {}
     bad_lines: list[int] = []
@@ -61,7 +59,7 @@ def strip_code(text: str, tag: str = "son-analyze", known_rules: set[str] | None
     raw_delim = ""
 
     def register_comment(comment: str, at_line: int):
-        m = sup_re.search(comment)
+        m = _SUPPRESS_RE.search(comment)
         if not m:
             return
         rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
@@ -290,6 +288,7 @@ class ClassInfo:
 class FileModel:
     rel: str
     raw_lines: list[str]
+    code: str  # raw text with comments and string literals blanked
     suppressions: dict[int, set[str]]
     bad_suppression_lines: list[int]
     functions: list[FunctionDef] = field(default_factory=list)
@@ -452,11 +451,10 @@ class _Scope:
     name: str
 
 
-def parse_file(path: Path, rel: str, tag: str = "son-analyze",
-               known_rules: set[str] | None = None) -> FileModel:
+def parse_file(path: Path, rel: str, known_rules: set[str] | None = None) -> FileModel:
     text = path.read_text(encoding="utf-8", errors="replace")
-    code, suppressions, bad_lines = strip_code(text, tag, known_rules)
-    fm = FileModel(rel=rel, raw_lines=text.splitlines(),
+    code, suppressions, bad_lines = strip_code(text, known_rules)
+    fm = FileModel(rel=rel, raw_lines=text.splitlines(), code=code,
                    suppressions=suppressions, bad_suppression_lines=list(bad_lines))
 
     scopes: list[_Scope] = []
@@ -683,9 +681,9 @@ def parse_file(path: Path, rel: str, tag: str = "son-analyze",
     return fm
 
 
-def build_model(files: list[tuple[Path, str]], tag: str = "son-analyze",
+def build_model(files: list[tuple[Path, str]],
                 known_rules: set[str] | None = None) -> Model:
     model = Model()
     for path, rel in files:
-        model.files[rel] = parse_file(path, rel, tag, known_rules)
+        model.files[rel] = parse_file(path, rel, known_rules)
     return model

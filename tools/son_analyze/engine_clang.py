@@ -11,15 +11,16 @@ AST-accurate information:
     new-expression facts (placement new is already excluded structurally;
     the AST pass re-adds any new-expr hidden behind macros).
 
-The structural model remains the substrate — suppressions, statics, members,
-and file bookkeeping all come from cpp_model; only per-function `calls` and
-`facts` are refined. Any TU that fails to parse keeps its structural facts
-(per-TU fallback), so a partially-broken compile never loses coverage, it
-only loses precision.
+The structural model remains the substrate — stripped code, suppressions,
+statics, members, and file bookkeeping all come from cpp_model, so the
+per-line construct rules see the same input under both engines; only
+per-function `calls` and `facts` are refined. Any TU that fails to parse
+keeps its structural facts (per-TU fallback), so a partially-broken compile
+never loses coverage, it only loses precision.
 
 Returns None from build_model_clang when the binding or a usable libclang
 shared object is missing — the caller falls back to the pure structural
-engine, mirroring son-lint's engine gate.
+engine.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def build_model_clang(rel_files, known_rules):
         return None
     cindex, index = found
 
-    model = cpp_model.build_model(rel_files, "son-analyze", known_rules)
+    model = cpp_model.build_model(rel_files, known_rules)
 
     # Index structural functions by (rel file, body start line) so AST
     # cursors can be attributed to them.

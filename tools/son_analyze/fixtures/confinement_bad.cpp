@@ -25,7 +25,7 @@ void handler_schedules_global(sim::ShardedKernel& k) { k.schedule_global(10, nul
 void helper_touches_control(sim::ShardedKernel& k);
 void handler_via_helper(sim::ShardedKernel& k) { helper_touches_control(k); }
 
-// Sink 3: direct cross-shard schedule (son-lint rule 9, transitive form).
+// Sink 3: direct cross-shard schedule (the cross-shard rule, transitive form).
 void handler_cross_shard(sim::ShardedKernel& kernel, unsigned other) {
   kernel.shard_sim(other).schedule(0, nullptr);
 }

@@ -1,17 +1,33 @@
-"""son-analyze rules: whole-program analyses over the cpp_model.Model.
+"""son-analyze rules over the cpp_model.Model, in two groups.
 
-Four rules, each the static complement of a runtime contract:
+Construct rules match each file's stripped code line by line. Each rejects a
+construct that breaks the simulator's determinism contract (results are a
+pure function of topology, seeds and schedule order):
+
+  wall-clock          reading real time (system_clock/steady_clock/time()/...)
+  raw-rand            std::rand, srand, drand48, arc4random, std::random_device
+  std-rng             std library RNG engines (use sim::Rng, seeded + forkable)
+  env-read            getenv/setenv — results must not depend on the environment
+  unordered-iter      iterating an unordered container with an effectful body
+                      (emits events, sends packets, accumulates, prints, ...)
+  ptr-key-order       containers ordered by raw pointer keys (address-dependent)
+  float-accum         ad-hoc float/double accumulation over trial results
+                      outside the established merge() path
+  cross-shard         `shard_sim(p).schedule(...)` written inline; the
+                      call-graph form of this check is shard-confinement
+
+Flow rules walk the whole program, each the static complement of a runtime
+contract:
 
   shard-confinement   code reachable from partition entry points must not
                       schedule onto the control plane (schedule_global /
                       control_sim), schedule directly onto another shard's
-                      simulator (generalizing son-lint rule 9 from the inline
-                      pattern to full call-graph reachability), or touch
-                      mutable namespace-scope state. ShardChannel::push is
-                      the only legal cross-partition carrier. Complements the
-                      SON_DCHECKs in ShardedKernel / Internet::enable_sharding.
-                      (Per-object cross-partition writes stay runtime-checked:
-                      name-based analysis cannot see object ownership.)
+                      simulator, or touch mutable namespace-scope state.
+                      ShardChannel::push is the only legal cross-partition
+                      carrier. Complements the SON_DCHECKs in ShardedKernel /
+                      Internet::enable_sharding. (Per-object cross-partition
+                      writes stay runtime-checked: name-based analysis cannot
+                      see object ownership.)
 
   timer-lifecycle     every member sim::EventId (or container of them) that is
                       ever assigned from schedule()/schedule_at() must be
@@ -39,18 +55,32 @@ Four rules, each the static complement of a runtime contract:
                       workers and across trial replications: each one is a
                       determinism hazard unless single-writer or inert.
 
-Plus `bad-suppression` (a suppression without a justification), shared with
-son-lint's grammar.
+Plus `bad-suppression` (a suppression without a justification or naming an
+unknown rule).
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
-from cpp_model import Fact, FunctionDef, Model, _ALLOC_CALLS, _GROWTH_METHODS
+from cpp_model import (Fact, FunctionDef, Model, _ALLOC_CALLS, _GROWTH_METHODS,
+                       _SHARD_SCHED_RE, line_of, match_brace, match_paren)
 
 RULES = {
+    "wall-clock": "reads real (wall/monotonic) time; sim code must derive time from sim::Simulator::now()",
+    "raw-rand": "non-deterministic randomness source; use a seeded sim::Rng (fork() per component)",
+    "std-rng": "std library RNG engine; use sim::Rng so streams are seeded and forkable per component",
+    "env-read": "environment read; results must be a pure function of (topology, seeds, schedule)",
+    "unordered-iter": "iterates an unordered container with an effectful body; iteration order is "
+    "hash/layout-dependent — use sorted iteration, std::map, or a stable vector",
+    "ptr-key-order": "container ordered or keyed by a raw pointer; ordering depends on allocation "
+    "addresses, which vary run to run",
+    "float-accum": "ad-hoc floating-point accumulation over trial results; fold through "
+    "sim::OnlineStats/SampleSet/Histogram merge() in trial-index order instead",
+    "cross-shard": "schedules directly onto a shard simulator fetched inline; cross-partition "
+    "events must go through a ShardChannel (flushed at round boundaries) so lookahead holds",
     "shard-confinement": "partition-reachable code schedules onto the control plane, another "
     "shard's simulator, or touches mutable global state; cross-partition effects must ride a "
     "ShardChannel so the conservative lookahead bound holds",
@@ -212,6 +242,194 @@ class Emitter:
 
 
 # ---------------------------------------------------------------------------
+# Construct rules: per-line patterns over each file's stripped code
+# ---------------------------------------------------------------------------
+
+_SIMPLE_RULES = [
+    (
+        "wall-clock",
+        re.compile(
+            r"\b(?:std::)?chrono::(?:system_clock|steady_clock|high_resolution_clock)\b"
+            r"|\bclock_gettime\b|\bgettimeofday\b|\bstd::time\s*\("
+            r"|(?<![\w:.>])time\s*\(\s*(?:nullptr|NULL|0)?\s*\)"
+        ),
+    ),
+    (
+        "raw-rand",
+        re.compile(
+            r"\bstd::rand\b|(?<![\w:.>])s?rand\s*\(|\bdrand48\b|\barc4random\w*\b"
+            r"|\brandom_device\b"
+        ),
+    ),
+    (
+        "std-rng",
+        re.compile(
+            r"\b(?:std::)?(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine"
+            r"|ranlux24(?:_base)?|ranlux48(?:_base)?|knuth_b)\b"
+        ),
+    ),
+    (
+        "env-read",
+        re.compile(r"\b(?:std::)?(?:getenv|secure_getenv|setenv|putenv|unsetenv)\s*\("),
+    ),
+    (
+        "ptr-key-order",
+        re.compile(
+            r"\b(?:std::)?(?:map|set|multimap|multiset|priority_queue)\s*<\s*"
+            r"(?:const\s+)?[\w:]+(?:\s*<[^<>]*>)?\s*\*"
+        ),
+    ),
+    ("cross-shard", _SHARD_SCHED_RE),
+]
+
+_UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
+_USING_ALIAS_RE = re.compile(
+    r"\busing\s+(\w+)\s*=\s*[^;]*\bunordered_(?:map|set|multimap|multiset)\s*<"
+)
+_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+
+# Statements inside an unordered-container loop body that make iteration order
+# observable: scheduling events, sending packets, tracing/printing, appending
+# to ordered output, or floating/stat accumulation.
+_EFFECT_RE = re.compile(
+    r"\bschedule(?:_at)?\s*\(|\bsend\s*\(|\bemit\s*\(|\btrace\s*\(|\bprintf\s*\(|"
+    r"\bfprintf\s*\(|\bcout\b|\bcerr\b|<<|\bpush_back\s*\(|\bemplace_back\s*\(|"
+    r"\babsorb\s*\(|\brecord\s*\(|\bmix\s*\(|\+=|\bhash\b|\bwrite\s*\(|\bappend\s*\("
+)
+
+_FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+(\w+)\s*[;=({]")
+_RESULTS_NAME_RE = re.compile(r"\b(?:results|metrics|trials|samples|reports)\b")
+_FLOATISH_ACCUM_RE = re.compile(
+    r"([\w.\[\]()->]+)\s*\+=\s*[^;]*(?:\.mean\(\)|\.sum\b|\.count\b|latency|seconds|"
+    r"_s\b|\.to_seconds)"
+)
+
+
+def _skip_angle(code: str, i: int) -> int:
+    """`i` points just past a '<'; returns index just past the matching '>'."""
+    depth = 1
+    n = len(code)
+    while i < n and depth:
+        c = code[i]
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth -= 1
+        elif c in ";{}":  # not a template argument list after all
+            return i
+        i += 1
+    return i
+
+
+def _unordered_names(code: str) -> set[str]:
+    """Identifiers declared with an unordered container type (incl. aliases)."""
+    names: set[str] = set()
+    alias_names = {m.group(1) for m in _USING_ALIAS_RE.finditer(code)}
+    decl_res = [_UNORDERED_DECL_RE]
+    if alias_names:
+        decl_res.append(re.compile(r"\b(?:" + "|".join(map(re.escape, sorted(alias_names))) + r")\s+"))
+    for decl_re in decl_res:
+        for m in decl_re.finditer(code):
+            i = m.end()
+            if m.re is _UNORDERED_DECL_RE:
+                i = _skip_angle(code, i)
+            tail = code[i : i + 120]
+            dm = re.match(r"\s*&?\s*([A-Za-z_]\w*)\s*(?:[;={(,)]|$)", tail)
+            if dm:
+                names.add(dm.group(1))
+    return names
+
+
+def _loop_body(code: str, k: int) -> str:
+    """The loop body starting at or after `k`: a braced block or one statement."""
+    while k < len(code) and code[k] in " \t\n":
+        k += 1
+    if k < len(code) and code[k] == "{":
+        return code[k : match_brace(code, k) + 1]
+    end = code.find(";", k)
+    return code[k : end + 1 if end >= 0 else len(code)]
+
+
+def _iter_range_fors(code: str):
+    """Yields (line, range_expr, body) for every range-based for loop."""
+    for m in re.finditer(r"\bfor\s*\(", code):
+        open_paren = m.end() - 1
+        close = match_paren(code, open_paren)
+        header = code[open_paren + 1 : close]
+        # Top-level ':' that is not part of '::' marks a range-for.
+        depth = 0
+        colon = -1
+        j = 0
+        while j < len(header):
+            c = header[j]
+            if c in "([{<":
+                depth += 1
+            elif c in ")]}>":
+                depth -= 1
+            elif c == ":" and depth == 0:
+                if j + 1 < len(header) and header[j + 1] == ":":
+                    j += 2
+                    continue
+                if j > 0 and header[j - 1] == ":":
+                    j += 1
+                    continue
+                colon = j
+                break
+            j += 1
+        if colon < 0:
+            continue
+        yield line_of(code, m.start()), header[colon + 1 :], _loop_body(code, close + 1)
+
+
+def check_constructs(model: Model, em: Emitter):
+    for fm in model.files.values():
+        code = fm.code
+
+        def emit(line: int, rule: str, extra: str = ""):
+            em.emit(fm.rel, line, rule, RULES[rule] + (f" ({extra})" if extra else ""))
+
+        for ln, line_text in enumerate(code.splitlines(), start=1):
+            for rule, rx in _SIMPLE_RULES:
+                if rx.search(line_text):
+                    emit(ln, rule)
+
+        range_fors = list(_iter_range_fors(code))
+
+        # Unordered-container iteration with an effectful body.
+        unames = _unordered_names(code)
+        for line, range_expr, body in range_fors:
+            over_unordered = "unordered_" in range_expr or any(
+                ident in unames for ident in _IDENT_RE.findall(range_expr))
+            if over_unordered and _EFFECT_RE.search(body):
+                emit(line, "unordered-iter", f"range-for over '{range_expr.strip()}'")
+
+        # Iterator-style loops: for (auto it = x.begin(); ...
+        if unames:
+            it_re = re.compile(
+                r"\bfor\s*\(\s*auto\s+\w+\s*=\s*("
+                + "|".join(map(re.escape, sorted(unames))) + r")\s*\.\s*(?:c?begin)\s*\(")
+            for m in it_re.finditer(code):
+                close = match_paren(code, code.index("(", m.start()))
+                body = _loop_body(code, close + 1)
+                if body.startswith("{") and _EFFECT_RE.search(body):
+                    emit(line_of(code, m.start()), "unordered-iter",
+                         f"iterator loop over '{m.group(1)}'")
+
+        # Ad-hoc float accumulation over trial results.
+        float_vars = {m.group(1) for m in _FLOAT_DECL_RE.finditer(code)}
+        for line, range_expr, body in range_fors:
+            if not _RESULTS_NAME_RE.search(range_expr):
+                continue
+            for am in re.finditer(r"([\w.\[\]]+)\s*\+=", body):
+                lhs_tail = am.group(1).split(".")[-1].split("[")[0]
+                if lhs_tail in float_vars or \
+                        _FLOATISH_ACCUM_RE.search(body[am.start() : am.start() + 160]):
+                    emit(line + line_of(body, am.start()) - 1, "float-accum",
+                         f"'{am.group(1)} +=' over '{range_expr.strip()}'")
+                    break
+
+
+# ---------------------------------------------------------------------------
 # Rule: mutable-static (census first: confinement consumes the survivors)
 # ---------------------------------------------------------------------------
 
@@ -249,8 +467,6 @@ def check_shard_confinement(model: Model, graph: CallGraph, em: Emitter,
                             roots_filter=None):
     import fnmatch
 
-    import re as _re
-
     roots = [f for f in graph.defs
              if any(fnmatch.fnmatch(f.file, g) for g in partition_globs)
              and (roots_filter is None or roots_filter(f))]
@@ -281,10 +497,10 @@ def check_shard_confinement(model: Model, graph: CallGraph, em: Emitter,
                 report(fn.file, fact.line, ("ss", fn.file, fact.line),
                        f"`{fn.qname}` (partition-reachable) schedules directly onto a "
                        "shard simulator; cross-partition events must ride a "
-                       "ShardChannel (son-lint rule 9, here transitively enforced)",
+                       "ShardChannel (the cross-shard rule, here transitively enforced)",
                        path, fn.qname)
         for sv in statics_by_file.get(fn.file, ()):
-            if fn.body and _re.search(r"\b" + _re.escape(sv.name) + r"\b", fn.body):
+            if fn.body and re.search(r"\b" + re.escape(sv.name) + r"\b", fn.body):
                 report(fn.file, sv.line, ("st", fn.qname, sv.name),
                        f"`{fn.qname}` (partition-reachable) touches mutable "
                        f"{sv.kind} `{sv.name}` — shared across shard workers",
@@ -295,13 +511,11 @@ def check_shard_confinement(model: Model, graph: CallGraph, em: Emitter,
 # Rule: timer-lifecycle
 # ---------------------------------------------------------------------------
 
-import re as _re2
-
-_EVENTID_TYPE_RE = _re2.compile(r"(?:^|[^\w])(?:sim\s*::\s*)?EventId\s*$")
-_EVENTID_CONTAINER_RE = _re2.compile(
+_EVENTID_TYPE_RE = re.compile(r"(?:^|[^\w])(?:sim\s*::\s*)?EventId\s*$")
+_EVENTID_CONTAINER_RE = re.compile(
     r"(?:vector|array|deque)\s*<\s*(?:sim\s*::\s*)?EventId\s*(?:,[^>]*)?>")
-_GUARD_TYPE_RE = _re2.compile(r"(?:sim\s*::\s*)?TimerGuard\b")
-_SCHED_CALL_RE = _re2.compile(r"\bschedule(?:_at)?\s*\(")
+_GUARD_TYPE_RE = re.compile(r"(?:sim\s*::\s*)?TimerGuard\b")
+_SCHED_CALL_RE = re.compile(r"\bschedule(?:_at)?\s*\(")
 
 
 def _statement_around(body: str, idx: int) -> tuple[str, int]:
@@ -346,14 +560,14 @@ def check_timer_lifecycle(model: Model, graph: CallGraph, em: Emitter):
                     if g.name == call.name and id(g) not in seen:
                         work.append(g)
         for mv in event_members:
-            sched_re = _re2.compile(
-                r"\b" + _re2.escape(mv.name) +
+            sched_re = re.compile(
+                r"\b" + re.escape(mv.name) +
                 r"\b\s*(?:=\s*[^;]*\bschedule|\.\s*(?:push_back|emplace_back)\s*\([^;]*\bschedule)")
             scheduled = any(m.body and sched_re.search(m.body) for m in methods)
             if not scheduled:
                 continue
             cancelled = any(
-                m.body and _re2.search(r"\b" + _re2.escape(mv.name) + r"\b", m.body)
+                m.body and re.search(r"\b" + re.escape(mv.name) + r"\b", m.body)
                 and "cancel" in m.body for m in dtor_reachable)
             if not cancelled:
                 where = "no destructor is defined" if not dtors else \
@@ -367,20 +581,19 @@ def check_timer_lifecycle(model: Model, graph: CallGraph, em: Emitter):
         # callback is not routed through a TimerGuard.
         guard_wrap_re = None
         if guard_names:
-            guard_wrap_re = _re2.compile(
-                r"\b(?:" + "|".join(map(_re2.escape, guard_names)) + r")\s*\.\s*wrap\s*\(")
+            guard_wrap_re = re.compile(
+                r"\b(?:" + "|".join(map(re.escape, guard_names)) + r")\s*\.\s*wrap\s*\(")
         for m in methods:
             if not m.body:
                 continue
             for sm in _SCHED_CALL_RE.finditer(m.body):
                 open_paren = m.body.index("(", sm.start())
-                from cpp_model import match_paren
                 close = match_paren(m.body, open_paren)
                 args = m.body[open_paren:close + 1]
-                if not _re2.search(r"\[\s*(?:this\b|=|&[\s,\]])", args):
+                if not re.search(r"\[\s*(?:this\b|=|&[\s,\]])", args):
                     continue  # callback does not capture this
                 stmt, _ = _statement_around(m.body, sm.start())
-                if _re2.search(r"=|\breturn\b|\b(?:push_back|emplace_back|"
+                if re.search(r"=|\breturn\b|\b(?:push_back|emplace_back|"
                                r"insert|emplace)\s*\(", stmt):
                     continue  # EventId stored / returned
                 if guard_wrap_re and guard_wrap_re.search(args):
@@ -443,6 +656,7 @@ def run_all(model: Model, baseline, partition_globs: list[str],
             em.findings.append(Finding(fm.rel, ln, "bad-suppression",
                                        RULES["bad-suppression"],
                                        em.snippet(fm.rel, ln)))
+    check_constructs(model, em)
     graph = CallGraph(model)
     live_statics = check_mutable_statics(model, em)
     check_shard_confinement(model, graph, em, partition_globs, live_statics,

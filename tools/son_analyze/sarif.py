@@ -13,6 +13,14 @@ import json
 SARIF_SCHEMA = "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
 
 _LEVELS = {
+    "wall-clock": "error",
+    "raw-rand": "error",
+    "std-rng": "error",
+    "env-read": "error",
+    "unordered-iter": "error",
+    "ptr-key-order": "error",
+    "float-accum": "warning",
+    "cross-shard": "error",
     "bad-suppression": "error",
     "shard-confinement": "error",
     "timer-lifecycle": "error",

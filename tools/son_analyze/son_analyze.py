@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""son-analyze — whole-program shard-confinement / timer-lifecycle / hot-path
-analyzer for the son tree.
+"""son-analyze — the static analyzer for the son tree's determinism and
+shard contracts.
 
-son-lint rejects banned *constructs* line by line; son-analyze checks the
-*flow* invariants PR 6-7 introduced that no single line can witness:
+Construct rules (per line, over comment- and string-stripped code):
+
+  wall-clock, raw-rand, std-rng, env-read
+                      no real time, unseeded randomness, std RNG engines or
+                      environment reads — results are a pure function of
+                      (topology, seeds, schedule order)
+  unordered-iter      no effectful loop over an unordered container
+  ptr-key-order       no container ordered by raw pointer keys
+  float-accum         no ad-hoc float accumulation over trial results
+  cross-shard         no inline `shard_sim(p).schedule(...)`
+
+Flow rules (whole program):
 
   shard-confinement   nothing reachable from partition code schedules onto
                       the control plane or another shard, or touches mutable
-                      global state (full call-graph generalization of
-                      son-lint rule 9)
+                      global state (the call-graph form of cross-shard)
   timer-lifecycle     scheduled member EventIds are cancelled in their
                       owner's destructor; this-capturing callbacks store
                       their id or are TimerGuard-generation-guarded
@@ -16,14 +25,19 @@ son-lint rejects banned *constructs* line by line; son-analyze checks the
                       call path (static complement of sim::alloc_probe)
   mutable-static      census of mutable statics, every one justified
 
-Engines (same contract as son-lint):
+See rules.py for each rule's full contract.
+
+Engines:
   * libclang (`clang.cindex`), when importable — AST-accurate call edges.
   * structural (default everywhere the binding is missing, including CI boxes
     without clang headers): a dependency-free scope/function parser; see
-    cpp_model.py. Over-approximate by design.
+    cpp_model.py. Over-approximate by design. The construct rules read the
+    same stripped code under both engines; gates pass --engine structural so
+    their verdict never depends on what is installed.
 
 File set: `--compdb build/compile_commands.json` analyzes every listed TU
-plus the project headers it includes; positional paths work like son-lint.
+plus the project headers it includes; positional paths name files or
+directories to walk (default: src bench).
 
 Suppressions — BOTH require a justification (enforced; a bare suppression is
 itself a finding / config error):
@@ -204,7 +218,7 @@ def build_model(files: list[Path], root: Path, engine: str):
             if engine == "clang":
                 print(f"son-analyze: clang engine failed ({e}); falling back to "
                       "the structural engine", file=sys.stderr)
-    return cpp_model.build_model(rel_files, "son-analyze", known), "structural"
+    return cpp_model.build_model(rel_files, known), "structural"
 
 
 def main(argv=None) -> int:
@@ -219,10 +233,7 @@ def main(argv=None) -> int:
     ap.add_argument("--baseline", default=None,
                     help="baseline JSON (default: baseline.json next to the script; "
                          "'none' disables)")
-    ap.add_argument("--engine", choices=["auto", "clang", "structural", "tokens"],
-                    default="auto",
-                    help="'tokens' is accepted as an alias of 'structural' for "
-                         "symmetry with son-lint")
+    ap.add_argument("--engine", choices=["auto", "clang", "structural"], default="auto")
     ap.add_argument("--json", dest="json_out", default=None)
     ap.add_argument("--sarif", dest="sarif_out", default=None)
     ap.add_argument("--partition-glob", action="append", default=None,
@@ -269,8 +280,7 @@ def main(argv=None) -> int:
         print("son-analyze: no input files", file=sys.stderr)
         return 2
 
-    engine = "structural" if args.engine == "tokens" else args.engine
-    model, engine_used = build_model(files, root, engine)
+    model, engine_used = build_model(files, root, args.engine)
 
     partition_globs = args.partition_glob or DEFAULT_PARTITION_GLOBS
     # The baseline's control_plane section narrows the shard-confinement

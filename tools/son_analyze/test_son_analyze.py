@@ -5,8 +5,15 @@ suppressions, the baseline loader rejects entries without justifications,
 and the JSON/SARIF reports round-trip. Run directly or via ctest
 (registered as `son_analyze_selftest`).
 
-Runs with --engine tokens so the result is identical on machines with and
-without libclang; CI runs an additional advisory clang-engine pass.
+Two narrower modes run under ctest as well:
+  test_son_analyze.py construct    only the construct-rule fixture pairs
+  test_son_analyze.py tree ROOT    with no baseline, the construct rules fire
+                                   over ROOT's src and bench only as
+                                   wall-clock in bench/ (the one construct-rule
+                                   allowance in baseline.json)
+
+Runs with --engine structural so the result is identical on machines with
+and without libclang; CI runs an additional advisory clang-engine pass.
 """
 
 from __future__ import annotations
@@ -20,11 +27,16 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 TOOL = HERE / "son_analyze.py"
 FIX = HERE / "fixtures"
+NUM_RULES = 13
+# Per-line construct rules exercised by the determinism fixture pair.
+DETERMINISM_RULES = {"wall-clock", "raw-rand", "std-rng", "env-read",
+                     "unordered-iter", "ptr-key-order", "float-accum"}
+CONSTRUCT_RULES = DETERMINISM_RULES | {"cross-shard"}
 
 
 def run(*args: str):
     return subprocess.run(
-        [sys.executable, str(TOOL), "--engine", "tokens", "--root", str(HERE), *args],
+        [sys.executable, str(TOOL), "--engine", "structural", "--root", str(HERE), *args],
         capture_output=True, text=True, check=False)
 
 
@@ -37,8 +49,9 @@ def findings_of(report: Path) -> list[dict]:
     return json.loads(report.read_text())["findings"]
 
 
-def expect_rule(name: str, extra: list[str], rule: str, min_count: int,
-                forbid_other_rules: bool = False):
+def expect_findings(name: str, extra: list[str]) -> list[dict]:
+    """Runs `name` with no baseline; requires exit 1 and well-located
+    findings, and returns them."""
     with tempfile.TemporaryDirectory() as td:
         report = Path(td) / "report.json"
         r = run("--baseline", "none", "--json", str(report),
@@ -46,17 +59,22 @@ def expect_rule(name: str, extra: list[str], rule: str, min_count: int,
         if r.returncode != 1:
             fail(f"{name}: expected exit 1, got {r.returncode}\n{r.stdout}{r.stderr}")
         fs = findings_of(report)
-        hits = [f for f in fs if f["rule"] == rule]
-        if len(hits) < min_count:
-            fail(f"{name}: expected >= {min_count} {rule} findings, got "
-                 f"{len(hits)}\n{r.stdout}")
-        if forbid_other_rules and len(hits) != len(fs):
-            others = sorted({f['rule'] for f in fs} - {rule})
-            fail(f"{name}: unexpected extra rules fired: {others}\n{r.stdout}")
-        for f in fs:
-            if f["line"] <= 0 or not f["file"].endswith(".cpp"):
-                fail(f"{name}: finding with bad location: {f}")
-        return fs
+    for f in fs:
+        if f["line"] <= 0 or not f["file"].endswith(".cpp"):
+            fail(f"{name}: finding with bad location: {f}")
+    return fs
+
+
+def expect_rule(name: str, extra: list[str], rule: str, min_count: int,
+                forbid_other_rules: bool = False):
+    fs = expect_findings(name, extra)
+    hits = [f for f in fs if f["rule"] == rule]
+    if len(hits) < min_count:
+        fail(f"{name}: expected >= {min_count} {rule} findings, got {len(hits)}: {fs}")
+    if forbid_other_rules and len(hits) != len(fs):
+        others = sorted({f['rule'] for f in fs} - {rule})
+        fail(f"{name}: unexpected extra rules fired: {others}")
+    return fs
 
 
 def expect_clean(name: str, extra: list[str]):
@@ -65,7 +83,73 @@ def expect_clean(name: str, extra: list[str]):
         fail(f"{name}: expected exit 0, got {r.returncode}\n{r.stdout}{r.stderr}")
 
 
-def main():
+def check_construct_rules():
+    """The eight construct rules fire on their positive fixtures and stay
+    silent on the negative twins."""
+    det = expect_findings("determinism_bad.cpp", [])
+    fired = {f["rule"] for f in det}
+    if fired != DETERMINISM_RULES | {"bad-suppression"}:
+        fail(f"determinism_bad.cpp: expected exactly {sorted(DETERMINISM_RULES)} "
+             f"plus bad-suppression, got {sorted(fired)}")
+    loops = " ".join(f["message"] for f in det if f["rule"] == "unordered-iter")
+    for needle in ("range-for over 'pending'", "iterator loop over 'pending'"):
+        if needle not in loops:
+            fail(f"determinism_bad.cpp: no unordered-iter finding for the {needle}")
+    expect_clean("determinism_ok.cpp", [])
+
+    # cross-shard: both receiver spellings fire, and a bare suppression both
+    # fails and leaves its site firing; its negative twin holds a justified
+    # suppression, a same-partition schedule and a channel push.
+    cross = expect_findings("cross_shard_bad.cpp", [])
+    by_rule: dict[str, list[int]] = {}
+    for f in cross:
+        by_rule.setdefault(f["rule"], []).append(f["line"])
+    if set(by_rule) != {"cross-shard", "bad-suppression"}:
+        fail(f"cross_shard_bad.cpp: unexpected rule set {sorted(by_rule)}")
+    text = (FIX / "cross_shard_bad.cpp").read_text().splitlines()
+    fired_fns = {next(ln for ln in range(hit, 0, -1) if "void " in text[ln - 1])
+                 for hit in by_rule["cross-shard"]}
+    names = {text[ln - 1].split("void ")[1].split("(")[0] for ln in fired_fns}
+    if names != {"dot_receiver", "arrow_receiver", "unjustified_setup"}:
+        fail(f"cross_shard_bad.cpp: cross-shard fired in wrong functions: {sorted(names)}")
+    if len(by_rule["bad-suppression"]) != 1:
+        fail(f"cross_shard_bad.cpp: expected 1 bad-suppression, got {by_rule}")
+    expect_clean("cross_shard_ok.cpp", [])
+
+
+def check_tree_construct_rules(root: Path):
+    """Runs the analyzer over root's src and bench with no baseline; the only
+    construct-rule findings allowed are wall-clock in bench/, and no inline
+    suppression may lack its reason."""
+    with tempfile.TemporaryDirectory() as td:
+        report = Path(td) / "report.json"
+        r = subprocess.run(
+            [sys.executable, str(TOOL), "--engine", "structural", "--root", str(root),
+             "--baseline", "none", "--json", str(report), "src", "bench"],
+            capture_output=True, text=True, check=False)
+        if r.returncode not in (0, 1):
+            fail(f"tree run: expected exit 0 or 1, got {r.returncode}\n{r.stderr}")
+        fs = findings_of(report)
+    stray = [f for f in fs if f["rule"] in CONSTRUCT_RULES | {"bad-suppression"}
+             and not (f["rule"] == "wall-clock" and f["file"].startswith("bench/"))]
+    if stray:
+        fail("construct-rule findings outside the wall-clock bench/ allowance:\n"
+             + "\n".join(f"{f['file']}:{f['line']}: [{f['rule']}] {f['message']}"
+                          for f in stray))
+
+
+def main(argv: list[str]):
+    if argv[:1] == ["construct"] and len(argv) == 1:
+        check_construct_rules()
+        print("son-analyze construct rules: all checks passed")
+        return
+    if argv[:1] == ["tree"] and len(argv) == 2:
+        check_tree_construct_rules(Path(argv[1]).resolve())
+        print("son-analyze construct rules: tree clean")
+        return
+    if argv:
+        fail(f"usage: {Path(__file__).name} [construct | tree ROOT]")
+
     # --- per-rule positive/negative pairs ---------------------------------
     timer = expect_rule("timer_bad.cpp", [], "timer-lifecycle", 3,
                         forbid_other_rules=True)
@@ -115,6 +199,8 @@ def main():
 
     expect_clean("clean.cpp", [])
 
+    check_construct_rules()
+
     # --- baseline contract ------------------------------------------------
     with tempfile.TemporaryDirectory() as td:
         bad_bl = Path(td) / "bl.json"
@@ -160,6 +246,8 @@ def main():
             "suppressions": [
                 {"rule": "mutable-static", "path": "*confinement_bad.cpp",
                  "justification": "fixture: static census not under test here"},
+                {"rule": "cross-shard", "path": "*confinement_bad.cpp",
+                 "justification": "fixture: the per-line form is not under test here"},
             ],
             "control_plane": [
                 {"path": "*confinement_bad.cpp", "symbol": "handler_schedules_global",
@@ -219,7 +307,7 @@ def main():
             fail("sarif: wrong version")
         run0 = doc["runs"][0]
         rule_ids = {rr["id"] for rr in run0["tool"]["driver"]["rules"]}
-        if "hot-path-alloc" not in rule_ids or len(rule_ids) != 5:
+        if "hot-path-alloc" not in rule_ids or len(rule_ids) != NUM_RULES:
             fail(f"sarif: rule catalog wrong: {sorted(rule_ids)}")
         if not run0["results"]:
             fail("sarif: no results emitted")
@@ -231,22 +319,25 @@ def main():
         if loc["region"]["startLine"] <= 0 or not loc["artifactLocation"]["uri"]:
             fail(f"sarif: bad physical location: {loc}")
 
-    # --- seeded regression: what the CI gate demonstrates ------------------
+    # --- seeded regressions: what the CI gate demonstrates -----------------
     with tempfile.TemporaryDirectory() as td:
         seeded = Path(td) / "seeded.cpp"
         seeded.write_text((FIX / "clean.cpp").read_text()
-                          + "\nint g_seeded_regression = 1;\n")
+                          + "\nint g_seeded_regression = 1;\n"
+                          + 'bool seeded_env() { return std::getenv("SON_SEEDED"); }\n')
         r = run("--baseline", "none", str(seeded))
         if r.returncode != 1:
             fail(f"seeded regression: expected exit 1, got {r.returncode}\n"
                  f"{r.stdout}{r.stderr}")
         if "g_seeded_regression" not in r.stdout:
             fail(f"seeded regression: finding does not name the seed\n{r.stdout}")
+        if "[env-read]" not in r.stdout:
+            fail(f"seeded regression: the getenv seed is not an env-read finding\n{r.stdout}")
 
     # --- misc CLI ----------------------------------------------------------
     r = run("--list-rules")
-    if r.returncode != 0 or len([ln for ln in r.stdout.splitlines() if ln.strip()]) != 5:
-        fail(f"--list-rules: expected 5 rules, got:\n{r.stdout}")
+    if r.returncode != 0 or len([ln for ln in r.stdout.splitlines() if ln.strip()]) != NUM_RULES:
+        fail(f"--list-rules: expected {NUM_RULES} rules, got:\n{r.stdout}")
     r = run("--baseline", "none", str(FIX / "no_such_file.cpp"))
     if r.returncode != 2:
         fail(f"missing input: expected exit 2, got {r.returncode}")
@@ -255,4 +346,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
