@@ -44,9 +44,7 @@ FlowEngine::FlowEngine(sim::Simulator& sim, overlay::ClientEndpoint& client,
     : sim_{sim},
       client_{client},
       opts_{std::move(opts)},
-      rng_{rng},
-      obs_active_{obs::counter("client.flows_active")},
-      obs_blocked_{obs::counter("client.flows_blocked")} {
+      rng_{rng} {
   SON_DCHECK(!opts_.classes.empty(), "FlowEngine needs at least one FlowClass");
   SON_DCHECK(!opts_.dests.empty(), "FlowEngine needs at least one destination");
   SON_DCHECK(opts_.buckets > 0 && opts_.bucket_width > sim::Duration::zero(),
@@ -256,7 +254,6 @@ void FlowEngine::fire_flow(std::uint32_t idx, std::int64_t now_ns) {
   } else {
     ++totals_.blocked;
     ++blocked_by_class_[c];
-    obs_blocked_.add();
   }
   if (budget_[idx] != kNoBudget && --budget_[idx] == 0) {
     retire(idx);
@@ -284,7 +281,6 @@ void FlowEngine::retire(std::uint32_t idx) {
   release_slot(idx);
   --active_;
   ++totals_.retired;
-  obs_active_.set(active_);
 }
 
 std::uint32_t FlowEngine::add_flow(std::size_t cls, std::size_t dest, sim::TimePoint first,
@@ -313,7 +309,6 @@ std::uint32_t FlowEngine::add_flow(std::size_t cls, std::size_t dest, sim::TimeP
   ++active_;
   peak_active_ = std::max(peak_active_, active_);
   ++totals_.activated;
-  obs_active_.set(active_);
   if (started_) arm();
   return idx;
 }

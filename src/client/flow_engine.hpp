@@ -232,8 +232,9 @@ class FlowEngine {
   std::vector<std::uint64_t> blocked_by_class_;
   SendHook hook_ = nullptr;
   void* hook_ctx_ = nullptr;
-  obs::Counter obs_active_;   // gauge: current live flow count
-  obs::Counter obs_blocked_;  // monotonic: sends refused at the endpoint
+  static constexpr obs::Field kCounterFields[] = {
+      {"client.flows_blocked", offsetof(Totals, blocked)}};
+  obs::Published published_{&totals_, kCounterFields};
 };
 
 }  // namespace son::client

@@ -99,7 +99,7 @@ Report Experiment::run() const {
       const std::uint64_t seed = opts_.seed_for(rep);
       cell.seeds.push_back(seed);
       // Every trial runs under its own counter registry (thread-local, so
-      // parallel trials never share slots); the snapshot is folded into the
+      // parallel trials never share one); the snapshot is folded into the
       // Metrics in name order, which keeps reports identical at any --jobs.
       trials.push_back(Trial{def.label, [fn = def.fn, seed]() {
                                obs::CounterRegistry registry;

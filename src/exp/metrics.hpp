@@ -87,12 +87,6 @@ class CellAggregate {
   };
   /// Aggregate of a counter; zero-valued if never recorded.
   [[nodiscard]] CounterAgg counter(const std::string& name) const;
-  [[nodiscard]] std::uint64_t counter_sum(const std::string& name) const {
-    return counter(name).sum;
-  }
-  [[nodiscard]] const std::map<std::string, CounterAgg>& counter_map() const {
-    return counters_;
-  }
 
   /// Deterministic part of the aggregate (scalars + samples + histograms).
   [[nodiscard]] Json metrics_json() const;

@@ -11,17 +11,29 @@
 #include "sim/shard.hpp"
 
 namespace son::net {
+namespace {
+// Drop rows are net.drop.<to_string(reason)>, indexed by DropReason.
+constexpr obs::Field kCounterFields[] = {
+    {"net.sent", offsetof(Internet::Counters, sent)},
+    {"net.delivered", offsetof(Internet::Counters, delivered)},
+    {"net.drop.none", offsetof(Internet::Counters, dropped[0])},
+    {"net.drop.random-loss", offsetof(Internet::Counters, dropped[1])},
+    {"net.drop.link-down", offsetof(Internet::Counters, dropped[2])},
+    {"net.drop.router-down", offsetof(Internet::Counters, dropped[3])},
+    {"net.drop.queue-overflow", offsetof(Internet::Counters, dropped[4])},
+    {"net.drop.no-route", offsetof(Internet::Counters, dropped[5])},
+    {"net.drop.stale-route", offsetof(Internet::Counters, dropped[6])},
+    {"net.drop.ttl-expired", offsetof(Internet::Counters, dropped[7])},
+    {"net.drop.no-handler", offsetof(Internet::Counters, dropped[8])},
+};
+static_assert(std::size(kCounterFields) == 2 + kNumDropReasons, "one row per DropReason");
+}  // namespace
 
 Internet::Internet(sim::Simulator& sim, sim::Rng rng, Config cfg)
     : sim_{sim}, rng_{rng}, cfg_{cfg} {
   parts_.resize(1);
   parts_[0].sim = &sim_;
-  obs_sent_ = obs::counter("net.sent");
-  obs_delivered_ = obs::counter("net.delivered");
-  for (std::size_t r = 0; r < kNumDropReasons; ++r) {
-    obs_dropped_[r] =
-        obs::counter(std::string("net.drop.") + to_string(static_cast<DropReason>(r)));
-  }
+  published_.emplace_back(&parts_[0].counters, kCounterFields);
 }
 
 Internet::Internet(sim::Simulator& sim, sim::Rng rng) : Internet{sim, rng, Config{}} {}
@@ -34,6 +46,7 @@ IspId Internet::add_isp(std::string name) {
 RouterId Internet::add_router(IspId isp, std::string name) {
   assert(isp < isps_.size());
   routers_.push_back(Router{isp, std::move(name), true, true, {}});
+  plan_.router_partition.push_back(0);
   return static_cast<RouterId>(routers_.size() - 1);
 }
 
@@ -52,6 +65,7 @@ LinkId Internet::add_link(RouterId a, RouterId b, const LinkConfig& cfg) {
 
 HostId Internet::add_host(std::string name) {
   hosts_.push_back(Host{std::move(name), {}, nullptr, {}});
+  plan_.host_partition.push_back(0);
   return static_cast<HostId>(hosts_.size() - 1);
 }
 
@@ -220,7 +234,6 @@ std::uint64_t Internet::send(Datagram d, const SendOptions& opts) {
   SON_DCHECK(ps.next_packet_id < (1ULL << 48), "per-partition packet-id space exhausted");
   d.id = ps.id_tag | ps.next_packet_id++;
   ++ps.counters.sent;
-  obs_sent_.add();
 
   AttachIndex si = 0, di = 0;
   IspId constraint = kInvalidIsp;
@@ -320,7 +333,6 @@ void Internet::deliver(const Datagram& d, AttachIndex) {
   const auto it = h.port_handlers.find(d.dst_port);
   if (it != h.port_handlers.end()) {
     ++ps.counters.delivered;
-    obs_delivered_.add();
     it->second(d);
     return;
   }
@@ -329,13 +341,11 @@ void Internet::deliver(const Datagram& d, AttachIndex) {
     return;
   }
   ++ps.counters.delivered;
-  obs_delivered_.add();
   h.handler(d);
 }
 
 void Internet::drop(PartState& ps, const Datagram& d, DropReason reason) {
   ++ps.counters.dropped[static_cast<std::size_t>(reason)];
-  obs_dropped_[static_cast<std::size_t>(reason)].add();
   // Partition p records to its own system ring (kSystemNode - p) so rings
   // stay single-writer under parallel execution.
   SON_OBS(static_cast<std::uint16_t>(obs::kSystemNode - ps.index), obs::Category::kDrop, reason,
@@ -435,17 +445,16 @@ std::optional<std::vector<RouterId>> Internet::path_routers(HostId a, AttachInde
   return out;
 }
 
-const Internet::Counters& Internet::counters() const {
-  if (parts_.size() == 1) return parts_[0].counters;
-  folded_ = Counters{};
+Internet::Counters Internet::counters() const {
+  Counters total;
   for (const PartState& ps : parts_) {
-    folded_.sent += ps.counters.sent;
-    folded_.delivered += ps.counters.delivered;
+    total.sent += ps.counters.sent;
+    total.delivered += ps.counters.delivered;
     for (std::size_t r = 0; r < kNumDropReasons; ++r) {
-      folded_.dropped[r] += ps.counters.dropped[r];
+      total.dropped[r] += ps.counters.dropped[r];
     }
   }
-  return folded_;
+  return total;
 }
 
 // ---- Sharded execution -----------------------------------------------------
@@ -462,6 +471,7 @@ void Internet::enable_sharding(sim::ShardedKernel& kernel, ShardPlan plan) {
   kernel_ = &kernel;
   plan_ = std::move(plan);
   const std::size_t np = plan_.num_partitions;
+  published_.clear();
   parts_.clear();
   parts_.resize(np);
   for (std::uint32_t p = 0; p < np; ++p) {
@@ -469,6 +479,7 @@ void Internet::enable_sharding(sim::ShardedKernel& kernel, ShardPlan plan) {
     parts_[p].index = p;
     parts_[p].id_tag = static_cast<std::uint64_t>(p) << 48;
     parts_[p].out.assign(np, nullptr);
+    published_.emplace_back(&parts_[p].counters, kCounterFields);
   }
 
   // A host must be co-located with every router it attaches to: the access

@@ -10,6 +10,7 @@
 // BGP may take to converge".
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -99,11 +100,9 @@ class Internet {
   /// latency — the minimum time any packet needs to cross the cut.
   void enable_sharding(sim::ShardedKernel& kernel, ShardPlan plan);
   [[nodiscard]] bool sharded() const { return kernel_ != nullptr; }
-  [[nodiscard]] std::uint32_t host_partition(HostId h) const {
-    return parts_.size() == 1 ? 0 : plan_.host_partition[h];
-  }
+  [[nodiscard]] std::uint32_t host_partition(HostId h) const { return plan_.host_partition[h]; }
   [[nodiscard]] std::uint32_t router_partition(RouterId r) const {
-    return parts_.size() == 1 ? 0 : plan_.router_partition[r];
+    return plan_.router_partition[r];
   }
   /// The simulator driving `host`'s partition (== simulator() when not
   /// sharded). Scenario code schedules traffic sources on it so a host's
@@ -150,7 +149,7 @@ class Internet {
                 "Counters::dropped[] is too small for DropReason — grow the array");
   /// Totals folded across partitions (deterministic: plain per-partition
   /// sums, added in partition order).
-  [[nodiscard]] const Counters& counters() const;
+  [[nodiscard]] Counters counters() const;
 
   /// Sum of bytes carried over all backbone link directions (both ways),
   /// excluding access links. Used by the multicast-efficiency benchmark.
@@ -269,15 +268,10 @@ class Internet {
   /// Partition states; size 1 until enable_sharding(). Indexed by partition.
   std::vector<PartState> parts_;
   sim::ShardedKernel* kernel_ = nullptr;
+  /// Every router and host sits in partition 0 until enable_sharding().
   ShardPlan plan_;
-  /// Scratch for counters(): fold of parts_[*].counters, rebuilt per call.
-  mutable Counters folded_;
-  // Observability: null-safe handles into the thread's counter registry (if
-  // one was installed when this Internet was constructed). Write-only — the
-  // simulation never reads them back.
-  obs::Counter obs_sent_;
-  obs::Counter obs_delivered_;
-  obs::Counter obs_dropped_[kNumDropReasons];
+  /// One per parts_[p].counters, republished whenever parts_ is rebuilt.
+  std::deque<obs::Published> published_;
 };
 
 }  // namespace son::net

@@ -1,106 +1,84 @@
-// Named counter registry for protocol/overlay/underlay instrumentation.
+// Named counter registry: a fold over the stats blocks of live components.
 //
-// A CounterRegistry owns a sorted map of name → uint64 slot. Instrumented
-// code asks once for a Counter handle (a raw slot pointer — std::map node
-// addresses are stable) and bumps it with relaxed atomic adds on the hot
-// path; a handle obtained while no registry is installed is null and add()
-// is a no-op. Slots are atomic because one registry may be shared by every
-// partition worker of a sharded-kernel run: components constructed on the
-// coordinator thread keep their handles when their events execute on
-// workers, and {add} is commutative, so folded totals are independent of
-// both thread interleaving and worker count. Snapshots iterate the map in
-// name order, so exported JSON and cross-trial merges are deterministic by
-// construction.
+// Each counted event increments one plain integer in its owner's stats
+// struct; the owner exports it with an obs::Published over the struct and a
+// static table of (report name, byte offset) Fields. entries() sums the live
+// blocks by name, in name order, plus the last values of destroyed ones.
 //
-// Like the Recorder, installation is scoped and thread-local: one registry
-// per experiment trial, nothing fed back into the simulation (counters are
-// write-only observation — the inertness contract). The sharded kernel
-// propagates the coordinator's installed registry into its workers via
-// obs::bind_worker_observability.
+// No integer is written by two threads, so none is atomic. Publishing and
+// retiring lock the registry (endpoints are built and reset on partition
+// workers). entries() reads live integers in place, so it may run only while
+// no partition worker runs: callers read after run_until returns, and the
+// sharded kernel's std::barrier orders those reads after the workers' writes.
+//
+// Installation is scoped and thread-local: one registry per experiment trial,
+// propagated to partition workers by obs::bind_worker_observability.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace son::obs {
 
+/// One exported count: the std::uint64_t `offset` bytes into a stats block
+/// (offsetof on a standard-layout struct), reported as `name`.
+struct Field {
+  const char* name;
+  std::size_t offset;
+};
+
+class Published;
+
+/// Must outlive every block published into it: installers scope it around
+/// the components it counts (one trial, one run).
 class CounterRegistry {
  public:
-  using Slot = std::atomic<std::uint64_t>;
-
   /// The registry installed on this thread, or nullptr.
   [[nodiscard]] static CounterRegistry* current();
-  /// Installs `reg` (may be nullptr) on this thread; returns the previous
-  /// installation. Prefer ScopedCounterRegistry; this exists for the sharded
-  /// kernel's worker-context propagation.
+  /// Installs `reg` (may be nullptr) on this thread, returning the previous
+  /// one: the sharded kernel's worker contexts use it; prefer the scope.
   static CounterRegistry* swap_current(CounterRegistry* reg);
 
-  /// Returns the slot for `name`, creating it at zero on first use. The
-  /// returned pointer stays valid for the registry's lifetime (map node
-  /// addresses are stable under insertion). Creation is mutex-guarded: link
-  /// protocol endpoints are constructed lazily on first send, which in a
-  /// sharded run can happen on any worker thread — only the slot lookup
-  /// locks, never the hot-path atomic bumps.
-  [[nodiscard]] Slot* slot(const std::string& name) {
-    const std::lock_guard<std::mutex> lock{mu_};
-    return &counters_[name];
-  }
-
-  /// All counters in name order (deterministic snapshot order).
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> entries() const {
-    const std::lock_guard<std::mutex> lock{mu_};
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.reserve(counters_.size());
-    for (const auto& [name, v] : counters_) {
-      out.emplace_back(name, v.load(std::memory_order_relaxed));
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::uint64_t value(const std::string& name) const {
-    const std::lock_guard<std::mutex> lock{mu_};
-    auto it = counters_.find(name);
-    return it != counters_.end() ? it->second.load(std::memory_order_relaxed) : 0;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    const std::lock_guard<std::mutex> lock{mu_};
-    return counters_.size();
-  }
+  /// Every published name with its live plus destroyed total, in name order.
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> entries() const;
+  /// One name's total; 0 if no block published it.
+  [[nodiscard]] std::uint64_t value(std::string_view name) const;
 
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, Slot> counters_;
+  friend class Published;
+  mutable std::mutex mu_;  // also pins the registry: neither copyable nor movable
+  /// Every published name, with the last values of its destroyed blocks.
+  std::map<std::string, std::uint64_t, std::less<>> retired_;
+  Published* live_ = nullptr;  // intrusive list of live blocks
 };
 
-/// Null-safe handle over one registry slot. Cheap to copy; add() on a
-/// default-constructed (or registry-less) handle is a no-op.
-class Counter {
+/// Publishes a stats block to the registry installed on the constructing
+/// thread (inert without one). Declare it after the block: it retires, folding
+/// the block's last values into the registry, before the block is destroyed.
+class Published {
  public:
-  Counter() = default;
-  explicit Counter(CounterRegistry::Slot* slot) : slot_(slot) {}
-
-  void add(std::uint64_t delta = 1) {
-    if (slot_ != nullptr) slot_->fetch_add(delta, std::memory_order_relaxed);
-  }
-  /// Gauge-style overwrite (e.g. high-water marks snapshotted at run end).
-  void set(std::uint64_t value) {
-    if (slot_ != nullptr) slot_->store(value, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool live() const { return slot_ != nullptr; }
+  Published(const void* block, std::span<const Field> fields);
+  ~Published();
+  Published(const Published&) = delete;
+  Published& operator=(const Published&) = delete;
 
  private:
-  CounterRegistry::Slot* slot_ = nullptr;
-};
+  friend class CounterRegistry;
+  [[nodiscard]] std::uint64_t read(const Field& f) const;
 
-/// Handle for `name` in this thread's current registry; null handle if no
-/// registry is installed. Call at component construction time, not per event.
-[[nodiscard]] Counter counter(const std::string& name);
+  CounterRegistry* reg_;
+  const std::byte* block_;
+  std::span<const Field> fields_;
+  Published* prev_ = nullptr;
+  Published* next_ = nullptr;
+};
 
 /// Installs a registry as this thread's current one for the scope's
 /// lifetime; restores the previous one on destruction.

@@ -13,8 +13,7 @@ namespace son::overlay {
 
 class DedupCache {
  public:
-  explicit DedupCache(std::size_t capacity = 1 << 20)
-      : capacity_{capacity}, obs_evictions_{obs::counter("overlay.dedup.evictions")} {}
+  explicit DedupCache(std::size_t capacity = 1 << 20) : capacity_{capacity} {}
 
   /// Returns true if `id` was already seen; otherwise records it. One hash
   /// lookup: insert() reports existence through its `second` result, so the
@@ -26,10 +25,11 @@ class DedupCache {
       seen_.erase(order_.front());
       order_.pop_front();
       ++evictions_;
-      obs_evictions_.add();
     }
     return false;
   }
+
+  void clear() { seen_.clear(); order_.clear(); }  // a restart; evictions_ stays monotonic
 
   [[nodiscard]] std::size_t size() const { return seen_.size(); }
   /// Entries aged out by the FIFO capacity bound (an evicted id would be
@@ -41,7 +41,8 @@ class DedupCache {
   std::unordered_set<std::uint64_t> seen_;
   std::deque<std::uint64_t> order_;
   std::uint64_t evictions_ = 0;
-  obs::Counter obs_evictions_;
+  static constexpr obs::Field kCounterFields[] = {{"overlay.dedup.evictions", 0}};
+  obs::Published published_{&evictions_, kCounterFields};
 };
 
 }  // namespace son::overlay

@@ -27,7 +27,7 @@ const crypto::MacContext& ItEndpointBase::link_mac() {
 
 void ItEndpointBase::sign_frame(LinkFrame& f) {
   if (!ctx_.authenticate() || ctx_.keys() == nullptr || !f.msg) return;
-  obs_sign_ops_.add();
+  ++stats_.sign_ops;
   std::array<std::uint8_t, kAuthHeadBytes> head;
   const std::size_t n = auth_head_bytes(*f.msg, std::span{head});
   f.auth = link_mac().sign(std::span<const std::uint8_t>{head.data(), n},
@@ -42,7 +42,7 @@ bool ItEndpointBase::verify_frame(const LinkFrame& f) {
     ++stats_.auth_failures;
     return false;
   }
-  obs_verify_ops_.add();
+  ++stats_.verify_ops;
   std::array<std::uint8_t, kAuthHeadBytes> head;
   const std::size_t n = auth_head_bytes(*f.msg, std::span{head});
   const std::span<const std::uint8_t> head_sp{head.data(), n};
@@ -185,8 +185,7 @@ bool ItReliableEndpoint::eligible(std::uint64_t key) const {
 
 void ItReliableEndpoint::arm_retransmit_timer() {
   if (retransmit_timer_ != sim::kInvalidEventId || in_flight_.empty()) return;
-  const sim::Duration rto =
-      std::max(cfg_.min_rto, ctx_.rtt_estimate() * cfg_.rto_multiplier);
+  const sim::Duration rto = std::max(kMinRto, ctx_.rtt_estimate() * kRtoMultiplier);
   retransmit_timer_ = ctx_.simulator().schedule(rto, [this]() {
     retransmit_timer_ = sim::kInvalidEventId;
     on_retransmit_timer();
@@ -195,8 +194,7 @@ void ItReliableEndpoint::arm_retransmit_timer() {
 
 void ItReliableEndpoint::on_retransmit_timer() {
   const sim::TimePoint now = ctx_.simulator().now();
-  const sim::Duration rto =
-      std::max(cfg_.min_rto, ctx_.rtt_estimate() * cfg_.rto_multiplier);
+  const sim::Duration rto = std::max(kMinRto, ctx_.rtt_estimate() * kRtoMultiplier);
   for (auto [seq, fl] : in_flight_) {
     if (now - fl.last_sent < rto) continue;
     if (!eligible(key_of(fl.msg))) continue;  // flow backpressured: wait

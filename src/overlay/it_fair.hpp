@@ -35,10 +35,7 @@ namespace son::overlay {
 /// Shared machinery: keyed bounded queues + round-robin paced egress.
 class ItEndpointBase : public LinkProtocolEndpoint {
  public:
-  ItEndpointBase(LinkContext& ctx, const LinkProtocolConfig& cfg)
-      : LinkProtocolEndpoint(ctx, cfg),
-        obs_sign_ops_{obs::counter("crypto.sign_ops")},
-        obs_verify_ops_{obs::counter("crypto.verify_ops")} {}
+  using LinkProtocolEndpoint::LinkProtocolEndpoint;
   ~ItEndpointBase() override;
 
   struct Stats {
@@ -48,6 +45,8 @@ class ItEndpointBase : public LinkProtocolEndpoint {
     std::uint64_t rejected_full = 0;         // reliable mode (backpressured)
     std::uint64_t auth_failures = 0;
     std::uint64_t retransmissions = 0;
+    std::uint64_t sign_ops = 0;    // per-hop HMAC tags computed
+    std::uint64_t verify_ops = 0;  // per-hop HMAC tags checked
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -88,8 +87,10 @@ class ItEndpointBase : public LinkProtocolEndpoint {
   sim::EventId pump_timer_ = sim::kInvalidEventId;
   Stats stats_;
   crypto::MacContext mac_;  // lazily resolved from the key table, once
-  obs::Counter obs_sign_ops_;
-  obs::Counter obs_verify_ops_;
+  static constexpr obs::Field kCounterFields[] = {
+      {"crypto.sign_ops", offsetof(Stats, sign_ops)},
+      {"crypto.verify_ops", offsetof(Stats, verify_ops)}};
+  obs::Published published_{&stats_, kCounterFields};
 };
 
 class ItPriorityEndpoint final : public ItEndpointBase {

@@ -46,20 +46,25 @@ class LinkContext {
   virtual void count_protocol_drop(LinkProtocol proto) = 0;
 };
 
+// Fixed link-protocol timing. Reliable link:
+inline constexpr double kRtoMultiplier = 2.0;  // RTO = multiplier * SRTT
+inline constexpr sim::Duration kMinRto = sim::Duration::milliseconds(5);
+/// Per-entry exponential-backoff ceiling: an unacked message doubles its
+/// RTO on every timer expiry up to this cap, so a dead peer is probed at a
+/// bounded rate instead of retransmitted at a constant rate forever.
+inline constexpr sim::Duration kMaxRto = sim::Duration::seconds(2);
+inline constexpr sim::Duration kAckDelay = sim::Duration::milliseconds(2);
+/// Cap on explicit nacks carried per ack frame. A large reordering gap
+/// would otherwise enumerate the whole window into one frame; lower seqs
+/// are nacked first, and later acks cover the rest as the gap shrinks.
+inline constexpr std::size_t kMaxNacksPerAck = 64;
+// Realtime protocols.
+inline constexpr sim::Duration kRtSenderHistory = sim::Duration::milliseconds(2000);
+inline constexpr sim::Duration kRtDefaultBudget = sim::Duration::milliseconds(100);
+
 struct LinkProtocolConfig {
   // Reliable link.
   std::size_t reliable_window = 4096;      // max unacked messages buffered
-  double rto_multiplier = 2.0;             // RTO = multiplier * SRTT
-  sim::Duration min_rto = sim::Duration::milliseconds(5);
-  /// Per-entry exponential-backoff ceiling: an unacked message doubles its
-  /// RTO on every timer expiry up to this cap, so a dead peer is probed at a
-  /// bounded rate instead of retransmitted at a constant rate forever.
-  sim::Duration max_rto = sim::Duration::seconds(2);
-  sim::Duration ack_delay = sim::Duration::milliseconds(2);
-  /// Cap on explicit nacks carried per ack frame. A large reordering gap
-  /// would otherwise enumerate the whole window into one frame; lower seqs
-  /// are nacked first, and later acks cover the rest as the gap shrinks.
-  std::size_t max_nacks_per_ack = 64;
   /// The paper's design: "intermediate nodes are permitted to forward
   /// packets out of order" (§III-A). false = hold out-of-order arrivals at
   /// every hop until the gap fills (TCP-splice-like); ablation knob showing
@@ -67,8 +72,6 @@ struct LinkProtocolConfig {
   bool reliable_ooo_forwarding = true;
 
   // Realtime protocols.
-  sim::Duration rt_sender_history = sim::Duration::milliseconds(2000);
-  sim::Duration rt_default_budget = sim::Duration::milliseconds(100);
   /// Space the N requests / M retransmissions across the budget (the NM-
   /// Strikes design). false = send them back-to-back; ablation knob showing
   /// why spacing matters under correlated loss.

@@ -23,6 +23,8 @@ std::uint64_t flow_key_of(NodeId origin, VirtualPort port, const Destination& d)
   return k;
 }
 
+/// Periodic re-advertisement of own link/group state (repairs lost floods).
+constexpr sim::Duration kStateRefresh = sim::Duration::seconds(1);
 /// Liveness-prober up-hysteresis: consecutive hello replies needed before a
 /// dead channel is declared alive again (1 = a single reply revives it).
 constexpr std::uint32_t kHelloUpThreshold = 1;
@@ -41,6 +43,16 @@ constexpr sim::Duration kProcessingDelay = sim::Duration::microseconds(100);
 /// Hold time for destination reorder buffers (ordered flows without a
 /// deadline).
 constexpr sim::Duration kReorderHold = sim::Duration::milliseconds(200);
+constexpr obs::Field kCounterFields[] = {
+    {"overlay.link.failovers", offsetof(NodeStats, link_failovers)},
+    {"overlay.route.no_route", offsetof(NodeStats, no_route)},
+    {"overlay.route.ttl_expired", offsetof(NodeStats, ttl_expired)},
+    {"overlay.dedup.dropped", offsetof(NodeStats, dedup_dropped)},
+    {"overlay.route.compromised_dropped", offsetof(NodeStats, compromised_dropped)},
+    {"overlay.link.protocol_drops", offsetof(NodeStats, protocol_drops)},
+    {"overlay.membership.origin_evictions", offsetof(NodeStats, origin_evictions)},
+    {"overlay.membership.cache_evictions", offsetof(NodeStats, cache_evictions)},
+};
 }  // namespace
 
 /// LinkContext implementation bridging a protocol endpoint to its node.
@@ -71,10 +83,7 @@ class NodeLinkContext final : public LinkContext {
   [[nodiscard]] LinkBit link() const override { return bit_; }
   [[nodiscard]] bool authenticate() const override { return node_.cfg_.authenticate; }
   [[nodiscard]] const crypto::KeyTable* keys() const override { return node_.keys_.get(); }
-  void count_protocol_drop(LinkProtocol) override {
-    ++node_.stats_.protocol_drops;
-    node_.obs_protocol_drops_.add();
-  }
+  void count_protocol_drop(LinkProtocol) override { ++node_.stats_.protocol_drops; }
 
  private:
   OverlayNode& node_;
@@ -95,7 +104,8 @@ OverlayNode::OverlayNode(sim::Simulator& sim, net::Internet& internet, net::Host
       topo_db_{std::move(overlay_topology)},
       group_db_{topo_db_.base_graph().num_nodes()},
       router_{id, topo_db_, group_db_},
-      membership_{topo_db_.base_graph().num_nodes()} {
+      membership_{topo_db_.base_graph().num_nodes()},
+      published_{&stats_, kCounterFields} {
   const LivenessProber::Config prober_cfg{cfg_.hello_miss_threshold, kHelloUpThreshold};
   for (auto& spec : neighbors) {
     NeighborLink nl;
@@ -116,14 +126,6 @@ OverlayNode::OverlayNode(sim::Simulator& sim, net::Internet& internet, net::Host
   }
   internet_.bind(host_, cfg_.daemon_port,
                  [this](const net::Datagram& d) { on_datagram(d); });
-  obs_failovers_ = obs::counter("overlay.link.failovers");
-  obs_no_route_ = obs::counter("overlay.route.no_route");
-  obs_ttl_expired_ = obs::counter("overlay.route.ttl_expired");
-  obs_dedup_dropped_ = obs::counter("overlay.dedup.dropped");
-  obs_compromised_dropped_ = obs::counter("overlay.route.compromised_dropped");
-  obs_protocol_drops_ = obs::counter("overlay.link.protocol_drops");
-  obs_origin_evictions_ = obs::counter("overlay.membership.origin_evictions");
-  obs_cache_evictions_ = obs::counter("overlay.membership.cache_evictions");
 }
 
 OverlayNode::~OverlayNode() {
@@ -141,9 +143,7 @@ void OverlayNode::start() {
   const auto jitter = sim::Duration::from_millis_f(
       rng_.uniform() * cfg_.hello_interval.to_millis_f());
   hello_timer_ = sim_.schedule(jitter, [this]() { hello_tick(); });
-  refresh_timer_ = sim_.schedule(cfg_.state_refresh + jitter, [this]() {
-    state_refresh_tick();
-  });
+  refresh_timer_ = sim_.schedule(kStateRefresh + jitter, [this]() { state_refresh_tick(); });
 }
 
 // ---- Session level -------------------------------------------------------------
@@ -250,7 +250,7 @@ bool OverlayNode::client_send_impl(ClientEndpoint& client, const Destination& de
   if (dest.kind == Destination::Kind::kAnycast) {
     const NodeId target = router_.anycast_target(dest.group);
     if (target == kInvalidNode) {
-      ++stats_.no_route;
+      ++stats_.origin_no_route;
       return false;
     }
     msg.hdr.dest.node = target;
@@ -266,14 +266,14 @@ bool OverlayNode::client_send_impl(ClientEndpoint& client, const Destination& de
         // Only flooding supports point-to-multipoint source-based routing
         // (or an explicit custom_mask subgraph).
         if (spec.scheme != RouteScheme::kFlooding) {
-          ++stats_.no_route;
+          ++stats_.origin_no_route;
           return false;
         }
         mask_dst = id_;  // irrelevant for flooding
       }
       msg.hdr.mask = router_.source_mask(spec, mask_dst);
       if (msg.hdr.mask == 0 && spec.scheme != RouteScheme::kFlooding) {
-        ++stats_.no_route;
+        ++stats_.origin_no_route;
         return false;
       }
     }
@@ -382,7 +382,6 @@ bool OverlayNode::route_message_impl(Message msg, LinkBit arrived_on, bool skip_
   if (transit) {
     if (msg.hdr.hops >= 32) {
       ++stats_.ttl_expired;
-      obs_ttl_expired_.add();
       SON_OBS(id_, obs::Category::kRoute, obs::RouteEvent::kTtlExpired, msg.hdr.origin_id, 0);
       SON_OBS_PATH(msg.hdr.origin_id, id_, obs::HopKind::kDropTtl, obs::pack3(arrived_on, 0, 0));
       return true;
@@ -399,7 +398,6 @@ bool OverlayNode::route_message_impl(Message msg, LinkBit arrived_on, bool skip_
       if (compromise_.blackhole_transit ||
           (compromise_.drop_probability > 0 && rng_.bernoulli(compromise_.drop_probability))) {
         ++stats_.compromised_dropped;
-        obs_compromised_dropped_.add();
         SON_OBS_PATH(msg.hdr.origin_id, id_, obs::HopKind::kDropCompromised,
                      obs::pack3(arrived_on, 0, 0));
         return true;  // silently swallowed
@@ -434,7 +432,6 @@ bool OverlayNode::route_message_impl(Message msg, LinkBit arrived_on, bool skip_
       const LinkBit nh = router_.next_hop(msg.hdr.dest.node);
       if (nh == kInvalidLinkBit) {
         ++stats_.no_route;
-        obs_no_route_.add();
         SON_OBS(id_, obs::Category::kRoute, obs::RouteEvent::kNoRoute, msg.hdr.dest.node, 0);
         SON_OBS_PATH(msg.hdr.origin_id, id_, obs::HopKind::kDropNoRoute,
                      obs::pack3(arrived_on, 0, 0));
@@ -448,7 +445,6 @@ bool OverlayNode::route_message_impl(Message msg, LinkBit arrived_on, bool skip_
     case RouteScheme::kFlooding: {
       if (dedup_.seen_or_insert(msg.hdr.origin_id)) {
         ++stats_.dedup_dropped;
-        obs_dedup_dropped_.add();
         SON_OBS_PATH(msg.hdr.origin_id, id_, obs::HopKind::kDropDedup,
                      obs::pack3(arrived_on, 0, 0));
         return true;
@@ -551,7 +547,7 @@ void OverlayNode::restart() {
   next_origin_counter_ = 1;
   own_lsa_seq_ = 0;
   own_group_seq_ = 0;
-  dedup_ = DedupCache{};
+  dedup_.clear();
   reorder_.clear();
   flow_stats_.clear();
   sign_suffix_valid_ = false;
@@ -575,7 +571,7 @@ void OverlayNode::restart() {
   // Learned remote state was volatile too. Evicting (rather than zeroing)
   // keeps each origin's (incarnation, seq) floor, so stale floods still in
   // flight cannot re-install a previous life's state; live origins re-flood
-  // within ~state_refresh and repopulate everything.
+  // within ~kStateRefresh and repopulate everything.
   const auto n = static_cast<NodeId>(topo_db_.base_graph().num_nodes());
   for (NodeId o = 0; o < n; ++o) {
     if (o == id_) continue;
@@ -624,8 +620,7 @@ void OverlayNode::sweep_departed_origins() {
     group_db_.evict_origin(origin);
     const std::size_t cache_entries = router_.evict_origin(origin);
     ++stats_.origin_evictions;
-    obs_origin_evictions_.add();
-    if (cache_entries > 0) obs_cache_evictions_.add(cache_entries);
+    stats_.cache_evictions += cache_entries;
     SON_OBS(id_, obs::Category::kRoute, obs::RouteEvent::kOriginEvicted, origin, cache_entries);
   }
 }
@@ -784,7 +779,6 @@ void OverlayNode::evaluate_link(NeighborLink& nl) {
   }
   if (best != -1 && best != nl.active_channel) {
     ++stats_.link_failovers;
-    obs_failovers_.add();
     SON_OBS(id_, obs::Category::kLink, obs::LinkEvent::kFailover, nl.spec.link,
             static_cast<std::uint64_t>(best));
   }
@@ -908,7 +902,7 @@ void OverlayNode::state_refresh_tick() {
   sweep_departed_origins();
   refresh_link_ad(/*force_flood=*/true);
   refresh_group_ad();
-  refresh_timer_ = sim_.schedule(cfg_.state_refresh, [this]() { state_refresh_tick(); });
+  refresh_timer_ = sim_.schedule(kStateRefresh, [this]() { state_refresh_tick(); });
 }
 
 // ---- Introspection -------------------------------------------------------------------

@@ -34,14 +34,12 @@ struct NodeConfig {
   sim::Duration hello_interval = sim::Duration::milliseconds(100);
   std::uint32_t hello_miss_threshold = 3;
 
-  /// Periodic re-advertisement of own link/group state (repairs lost floods).
-  sim::Duration state_refresh = sim::Duration::seconds(1);
   /// Membership: an origin silent (no LSA/GSA/hello evidence) for this long
   /// is declared departed on the state-refresh tick and ALL its per-origin
   /// state is evicted — topology reports, group joins, and the router's
   /// cached trees/masks. Zero disables eviction (the static-membership
-  /// behavior); churn deployments set ~3-4x state_refresh so a live origin's
-  /// periodic re-floods comfortably outrun the timeout.
+  /// behavior); churn deployments set ~3-4x the 1 s state refresh so a live
+  /// origin's periodic re-floods comfortably outrun the timeout.
   sim::Duration dead_origin_timeout = sim::Duration::zero();
 
   /// Ablation knob: route on expected latency including loss penalty (the
@@ -132,7 +130,8 @@ struct NodeStats {
   std::uint64_t forwarded = 0;
   std::uint64_t delivered_local = 0;
   std::uint64_t dedup_dropped = 0;
-  std::uint64_t no_route = 0;
+  std::uint64_t no_route = 0;         // routing level had no next hop
+  std::uint64_t origin_no_route = 0;  // send refused at origin: no anycast target or mask
   std::uint64_t compromised_dropped = 0;
   std::uint64_t protocol_drops = 0;
   std::uint64_t send_blocked = 0;  // IT backpressure refused at origin
@@ -143,6 +142,7 @@ struct NodeStats {
   std::uint64_t control_auth_failures = 0;  // forged/tampered control frames
   std::uint64_t ttl_expired = 0;            // overlay-level loop protection
   std::uint64_t origin_evictions = 0;       // departed origins swept from the DBs
+  std::uint64_t cache_evictions = 0;        // router cache entries those sweeps dropped
   std::uint64_t stale_incarnation_drops = 0;  // pre-crash ghost frames dropped
   std::uint64_t peer_restarts_seen = 0;       // neighbor incarnation bumps observed
 };
@@ -216,7 +216,7 @@ class OverlayNode {
   /// GSA, and folded into origin ids), restarts the per-origin counters and
   /// sequence numbers at their initial values, resets every link's channel
   /// probers and protocol endpoints, forgets learned topology/group/
-  /// membership state (relearned from floods within ~state_refresh), and
+  /// membership state (relearned from floods within ~1 s), and
   /// immediately re-advertises under the new incarnation. Also clears the
   /// crashed flag, so crash(t) + restart(t') scripts a crash-recover cycle.
   void restart();
@@ -411,16 +411,7 @@ class OverlayNode {
   bool started_ = false;
 
   NodeStats stats_;
-  // Observability: null-safe handles into the thread's counter registry.
-  // Nodes share slots by name, so these aggregate across the whole overlay.
-  obs::Counter obs_failovers_;
-  obs::Counter obs_no_route_;
-  obs::Counter obs_ttl_expired_;
-  obs::Counter obs_dedup_dropped_;
-  obs::Counter obs_compromised_dropped_;
-  obs::Counter obs_protocol_drops_;
-  obs::Counter obs_origin_evictions_;
-  obs::Counter obs_cache_evictions_;
+  obs::Published published_;  // exports stats_ (kCounterFields in node.cpp)
 };
 
 }  // namespace son::overlay

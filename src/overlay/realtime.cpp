@@ -33,7 +33,7 @@ bool RealtimeEndpointBase::send(Message msg) {
 }
 
 void RealtimeEndpointBase::prune_history() {
-  const sim::TimePoint cutoff = ctx_.simulator().now() - cfg_.rt_sender_history;
+  const sim::TimePoint cutoff = ctx_.simulator().now() - kRtSenderHistory;
   while (!history_.empty() && history_.front().value.sent_at < cutoff) {
     history_.erase(history_.front().seq);
   }
@@ -86,7 +86,7 @@ sim::Duration RealtimeEndpointBase::recovery_budget(const MessageHeader& h) cons
     const sim::Duration remaining = due - ctx_.simulator().now();
     return remaining > sim::Duration::zero() ? remaining : sim::Duration::zero();
   }
-  return cfg_.rt_default_budget;
+  return kRtDefaultBudget;
 }
 
 void RealtimeEndpointBase::note_gap(std::uint64_t missing, const MessageHeader& trigger) {

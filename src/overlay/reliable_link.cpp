@@ -34,7 +34,7 @@ ReliableLinkEndpoint::~ReliableLinkEndpoint() {
 }
 
 sim::Duration ReliableLinkEndpoint::rto() const {
-  return std::max(cfg_.min_rto, ctx_.rtt_estimate() * cfg_.rto_multiplier);
+  return std::max(kMinRto, ctx_.rtt_estimate() * kRtoMultiplier);
 }
 
 bool ReliableLinkEndpoint::send(Message msg) {
@@ -63,7 +63,6 @@ void ReliableLinkEndpoint::transmit_data(std::uint64_t seq, const Message& msg, 
   ctx_.send_frame(std::move(f));
   if (retrans) {
     ++stats_.retransmissions;
-    obs_retransmissions_.add();
     SON_OBS(ctx_.self(), obs::Category::kLink, obs::LinkEvent::kRetransmit, seq, 0);
   } else {
     ++stats_.data_sent;
@@ -103,9 +102,9 @@ void ReliableLinkEndpoint::on_retransmit_timer() {
       ++u.sends;
       // Exponential backoff, capped: a blackholed peer is probed at a
       // bounded rate instead of a constant one forever.
-      const sim::Duration next = std::min(u.rto * 2, cfg_.max_rto);
+      const sim::Duration next = std::min(u.rto * 2, kMaxRto);
       if (next > u.rto) {
-        obs_rto_backoffs_.add();
+        ++stats_.rto_backoffs;
         SON_OBS(ctx_.self(), obs::Category::kLink, obs::LinkEvent::kRtoBackoff, seq,
                 static_cast<std::uint64_t>(next.ns()));
       }
@@ -129,8 +128,7 @@ void ReliableLinkEndpoint::handle_ack(const LinkFrame& f) {
   // the nack list was not truncated by the cap; otherwise only holes up to
   // the last listed nack are known exhaustively.
   const std::uint64_t sack_bound =
-      f.ids.size() < cfg_.max_nacks_per_ack ? f.seq
-                                            : (f.ids.empty() ? 0 : f.ids.back());
+      f.ids.size() < kMaxNacksPerAck ? f.seq : (f.ids.empty() ? 0 : f.ids.back());
   if (sack_bound > f.cum_ack) {
     auto nack = f.ids.begin();
     for (const auto [seq, u] : unacked_) {
@@ -199,7 +197,7 @@ void ReliableLinkEndpoint::handle_data(const LinkFrame& f) {
 
 void ReliableLinkEndpoint::schedule_ack() {
   if (ack_timer_ != sim::kInvalidEventId) return;
-  ack_timer_ = ctx_.simulator().schedule(cfg_.ack_delay, [this]() {
+  ack_timer_ = ctx_.simulator().schedule(kAckDelay, [this]() {
     ack_timer_ = sim::kInvalidEventId;
     send_ack();
   });
@@ -221,7 +219,7 @@ void ReliableLinkEndpoint::send_ack() {
   // (recv_max_ is always a member of recv_ooo_ whenever it exceeds
   // recv_cum_, so the gap walk covers exactly the old per-seq scan.)
   // Capped per frame: lower seqs first, later acks cover the rest.
-  const std::size_t cap = cfg_.max_nacks_per_ack;
+  const std::size_t cap = kMaxNacksPerAck;
   std::uint64_t prev = recv_cum_;
   for (auto it = recv_ooo_.begin(); it != recv_ooo_.end() && f.ids.size() < cap; ++it) {
     for (std::uint64_t s = prev + 1; s < *it && f.ids.size() < cap; ++s) {
@@ -230,7 +228,7 @@ void ReliableLinkEndpoint::send_ack() {
     prev = *it;
   }
   if (!f.ids.empty()) {
-    obs_nack_batches_.add();
+    ++stats_.nack_batches;
     SON_OBS(ctx_.self(), obs::Category::kLink, obs::LinkEvent::kNackBatch, f.ids.size(),
             recv_cum_);
   }

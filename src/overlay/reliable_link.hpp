@@ -30,11 +30,7 @@ class BestEffortEndpoint final : public LinkProtocolEndpoint {
 
 class ReliableLinkEndpoint final : public LinkProtocolEndpoint {
  public:
-  ReliableLinkEndpoint(LinkContext& ctx, const LinkProtocolConfig& cfg)
-      : LinkProtocolEndpoint(ctx, cfg),
-        obs_retransmissions_{obs::counter("overlay.reliable.retransmissions")},
-        obs_nack_batches_{obs::counter("overlay.reliable.nack_batches")},
-        obs_rto_backoffs_{obs::counter("overlay.reliable.rto_backoffs")} {}
+  using LinkProtocolEndpoint::LinkProtocolEndpoint;
   ~ReliableLinkEndpoint() override;
 
   bool send(Message msg) override;
@@ -50,6 +46,8 @@ class ReliableLinkEndpoint final : public LinkProtocolEndpoint {
     /// out of order, so they stopped being RTO candidates before the
     /// cumulative ack caught up.
     std::uint64_t sacked = 0;
+    std::uint64_t nack_batches = 0;  // acks that carried explicit nacks
+    std::uint64_t rto_backoffs = 0;  // RTO expiries that doubled an entry's timeout
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -60,7 +58,7 @@ class ReliableLinkEndpoint final : public LinkProtocolEndpoint {
     sim::TimePoint last_sent;
     std::uint32_t sends = 0;
     /// This entry's current timeout. Starts at rto() on first send and
-    /// doubles per expiry up to cfg_.max_rto (exponential backoff).
+    /// doubles per expiry up to kMaxRto (exponential backoff).
     sim::Duration rto = sim::Duration::zero();
   };
   void transmit_data(std::uint64_t seq, const Message& msg, bool retrans);
@@ -91,9 +89,11 @@ class ReliableLinkEndpoint final : public LinkProtocolEndpoint {
   sim::EventId ack_timer_ = sim::kInvalidEventId;
 
   Stats stats_;
-  obs::Counter obs_retransmissions_;
-  obs::Counter obs_nack_batches_;
-  obs::Counter obs_rto_backoffs_;
+  static constexpr obs::Field kCounterFields[] = {
+      {"overlay.reliable.retransmissions", offsetof(Stats, retransmissions)},
+      {"overlay.reliable.nack_batches", offsetof(Stats, nack_batches)},
+      {"overlay.reliable.rto_backoffs", offsetof(Stats, rto_backoffs)}};
+  obs::Published published_{&stats_, kCounterFields};
 };
 
 }  // namespace son::overlay

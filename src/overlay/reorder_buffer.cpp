@@ -6,7 +6,6 @@ void ReorderBuffer::push(Message msg) {
   const std::uint64_t seq = msg.hdr.flow_seq;
   if (seq < next_seq_) {
     ++stats_.late_discarded;
-    obs_late_.add();
     return;
   }
   if (held_.contains(seq)) {
@@ -22,7 +21,7 @@ void ReorderBuffer::push(Message msg) {
   }
   held_.emplace(seq, Held{std::move(msg), sim_.now()});
   arrivals_.emplace_back(seq, sim_.now());
-  obs_held_.add();
+  ++stats_.held;
   arm_timer();
 }
 
@@ -71,7 +70,6 @@ void ReorderBuffer::on_timer() {
     while (!held_.empty() && held_.begin()->first <= expired_seq) {
       const std::uint64_t gap_end = held_.begin()->first;
       stats_.skipped_missing += gap_end - next_seq_;
-      obs_skipped_.add(gap_end - next_seq_);
       next_seq_ = gap_end;
       drain();
     }

@@ -24,12 +24,7 @@ class ReorderBuffer {
   using DeliverFn = std::function<void(const Message&)>;
 
   ReorderBuffer(sim::Simulator& sim, sim::Duration max_hold, DeliverFn deliver)
-      : sim_{sim},
-        max_hold_{max_hold},
-        deliver_{std::move(deliver)},
-        obs_held_{obs::counter("overlay.reorder.held")},
-        obs_skipped_{obs::counter("overlay.reorder.skipped_missing")},
-        obs_late_{obs::counter("overlay.reorder.late_discarded")} {}
+      : sim_{sim}, max_hold_{max_hold}, deliver_{std::move(deliver)} {}
   ~ReorderBuffer() { sim_.cancel(timer_); }
   ReorderBuffer(const ReorderBuffer&) = delete;
   ReorderBuffer& operator=(const ReorderBuffer&) = delete;
@@ -40,6 +35,7 @@ class ReorderBuffer {
 
   struct Stats {
     std::uint64_t delivered = 0;
+    std::uint64_t held = 0;             // arrived beyond a gap and waited
     std::uint64_t late_discarded = 0;   // arrived after the gap was skipped
     std::uint64_t skipped_missing = 0;  // gaps abandoned by the hold timeout
     std::uint64_t duplicates = 0;
@@ -73,9 +69,11 @@ class ReorderBuffer {
   std::deque<std::pair<std::uint64_t, sim::TimePoint>> arrivals_;
   sim::EventId timer_ = sim::kInvalidEventId;
   Stats stats_;
-  obs::Counter obs_held_;
-  obs::Counter obs_skipped_;
-  obs::Counter obs_late_;
+  static constexpr obs::Field kCounterFields[] = {
+      {"overlay.reorder.held", offsetof(Stats, held)},
+      {"overlay.reorder.skipped_missing", offsetof(Stats, skipped_missing)},
+      {"overlay.reorder.late_discarded", offsetof(Stats, late_discarded)}};
+  obs::Published published_{&stats_, kCounterFields};
 };
 
 }  // namespace son::overlay

@@ -169,6 +169,34 @@ TEST(ChurnGoldenRun, ShardedOneWorkerEqualsFour) {
   EXPECT_EQ(four.cross_shard_pushes, one.cross_shard_pushes);
   EXPECT_EQ(four.kernel_rounds, one.kernel_rounds);
   EXPECT_EQ(four.counter_entries, one.counter_entries);
+  // The whole counter snapshot equals the one recorded before the registry
+  // became a fold over component stats, through restarts that clear dedup
+  // caches, reset link endpoints and evict origins.
+  const std::vector<std::pair<std::string, std::uint64_t>> recorded = {
+      {"crypto.sign_ops", 0u},
+      {"crypto.verify_ops", 0u},
+      {"net.delivered", 38273u},
+      {"net.drop.link-down", 0u},
+      {"net.drop.no-handler", 0u},
+      {"net.drop.no-route", 0u},
+      {"net.drop.none", 0u},
+      {"net.drop.queue-overflow", 0u},
+      {"net.drop.random-loss", 0u},
+      {"net.drop.router-down", 0u},
+      {"net.drop.stale-route", 0u},
+      {"net.drop.ttl-expired", 0u},
+      {"net.sent", 38400u},
+      {"overlay.dedup.dropped", 0u},
+      {"overlay.dedup.evictions", 0u},
+      {"overlay.link.failovers", 0u},
+      {"overlay.link.protocol_drops", 0u},
+      {"overlay.membership.cache_evictions", 0u},
+      {"overlay.membership.origin_evictions", 36u},
+      {"overlay.route.compromised_dropped", 0u},
+      {"overlay.route.no_route", 509u},
+      {"overlay.route.ttl_expired", 0u},
+  };
+  EXPECT_EQ(one.counter_entries, recorded);
   ASSERT_EQ(four.trace.size(), one.trace.size());
   EXPECT_EQ(std::memcmp(four.trace.data(), one.trace.data(),
                         one.trace.size() * sizeof(obs::EventRecord)),

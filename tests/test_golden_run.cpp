@@ -461,6 +461,33 @@ TEST(GoldenRun, AuthenticatedItMatchesRecordedBaselineAndWorkers) {
   }
   EXPECT_GT(sign_ops, 0u);
   EXPECT_GT(verify_ops, 0u);
+  // The whole counter snapshot equals the one recorded before the registry
+  // became a fold over component stats.
+  const std::vector<std::pair<std::string, std::uint64_t>> recorded = {
+      {"crypto.sign_ops", 3252u},
+      {"crypto.verify_ops", 3218u},
+      {"net.delivered", 23381u},
+      {"net.drop.link-down", 0u},
+      {"net.drop.no-handler", 0u},
+      {"net.drop.no-route", 0u},
+      {"net.drop.none", 0u},
+      {"net.drop.queue-overflow", 0u},
+      {"net.drop.random-loss", 230u},
+      {"net.drop.router-down", 0u},
+      {"net.drop.stale-route", 0u},
+      {"net.drop.ttl-expired", 0u},
+      {"net.sent", 23617u},
+      {"overlay.dedup.dropped", 0u},
+      {"overlay.dedup.evictions", 0u},
+      {"overlay.link.failovers", 59u},
+      {"overlay.link.protocol_drops", 0u},
+      {"overlay.membership.cache_evictions", 0u},
+      {"overlay.membership.origin_evictions", 0u},
+      {"overlay.route.compromised_dropped", 0u},
+      {"overlay.route.no_route", 0u},
+      {"overlay.route.ttl_expired", 0u},
+  };
+  EXPECT_EQ(fast1.counter_entries, recorded);
 
   const ShardedGoldenResult fast4 = run_it_auth_scenario(4);
   EXPECT_EQ(fast4.delivery_hash, fast1.delivery_hash);
