@@ -13,6 +13,7 @@
 #include <algorithm>
 
 #include "bench_common.hpp"
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
 
@@ -52,9 +53,9 @@ exp::Metrics run_cost_metric(bool loss_aware, Duration traffic_time, std::uint64
   sink.on_message([&](const overlay::Message& m, Duration) {
     if (m.hdr.origin_time >= TimePoint::zero() + 7_s) ++after_cut_recv;
   });
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(1, 2), overlay::ServiceSpec{},
-                            500, 300, sim.now(), sim.now() + traffic_time}};
+  client::FlowEngine sender{sim, src, {.payload_bytes = 300, .rate_pps = 500},
+                            overlay::Destination::unicast(1, 2), sim.now(),
+                            sim.now() + traffic_time};
   sim.run_for(traffic_time + 3_s);
   // Messages originated in [7s, 3s + traffic_time) — after the routing had a
   // chance to react to the loss onset at t=5s.
@@ -63,7 +64,7 @@ exp::Metrics run_cost_metric(bool loss_aware, Duration traffic_time, std::uint64
 
   const overlay::LinkBit nh = fx.overlay->node(0).router().next_hop(1);
   exp::Metrics m;
-  m.scalar("delivered_frac", sink.delivery_ratio(sender.sent()));
+  m.scalar("delivered_frac", sink.delivery_ratio(sender.totals().sent));
   m.scalar("after_onset_frac",
            static_cast<double>(after_cut_recv) / static_cast<double>(after_cut_sent));
   m.scalar("routed_direct", nh == 0 ? 1.0 : 0.0);
@@ -94,9 +95,9 @@ exp::Metrics run_ooo(bool ooo, Duration traffic_time, std::uint64_t seed) {
   spec.custom_mask = fx.chain_mask();
   spec.link_protocol = LinkProtocol::kReliable;
   spec.ordered = true;
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(5, 2), spec, 1000, 1200,
-                            sim.now(), sim.now() + traffic_time}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 1200, .rate_pps = 1000},
+                            overlay::Destination::unicast(5, 2), sim.now(),
+                            sim.now() + traffic_time};
   sim.run_for(traffic_time + 10_s);
 
   exp::Metrics m;
@@ -127,9 +128,9 @@ exp::Metrics run_hello(std::int64_t hello_ms, Duration traffic_time, std::uint64
     arrivals.push_back(sim.now().to_seconds_f());
   });
   overlay::ServiceSpec spec;
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(9, 50), spec, 500, 400,
-                            sim.now(), sim.now() + traffic_time}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 400, .rate_pps = 500},
+                            overlay::Destination::unicast(9, 50), sim.now(),
+                            sim.now() + traffic_time};
   const std::uint64_t frames_before = net.node(0).stats().frames_sent;
   sim.schedule(5_s, [&]() {
     const overlay::LinkBit nh = net.node(0).router().next_hop(9);
@@ -146,7 +147,7 @@ exp::Metrics run_hello(std::int64_t hello_ms, Duration traffic_time, std::uint64
   }
   exp::Metrics m;
   m.scalar("max_gap_ms", max_gap * 1000.0);
-  m.scalar("lost_msgs", static_cast<double>(sender.sent() - sink.received()));
+  m.scalar("lost_msgs", static_cast<double>(sender.totals().sent - sink.received()));
   m.scalar("ctl_frames_per_s",
            static_cast<double>(net.node(0).stats().frames_sent - frames_before) /
                measured.to_seconds_f());
@@ -196,18 +197,18 @@ exp::Metrics run_fec(LinkProtocol proto, bool bursty, Duration traffic_time,
   spec.custom_mask = fx.chain_mask();
   spec.link_protocol = proto;
   spec.deadline = 100_ms;
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(4, 2), spec, 1000, 1200,
-                            sim.now(), sim.now() + traffic_time}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 1200, .rate_pps = 1000},
+                            overlay::Destination::unicast(4, 2), sim.now(),
+                            sim.now() + traffic_time};
   const std::uint64_t bytes0 = fx.internet->backbone_bytes_carried();
   sim.run_for(traffic_time + 3_s);
   const double bytes =
       static_cast<double>(fx.internet->backbone_bytes_carried() - bytes0);
   const double baseline =
-      static_cast<double>(sender.sent()) * 4.0 * (1200.0 + 88.0);  // 4 hops
+      static_cast<double>(sender.totals().sent) * 4.0 * (1200.0 + 88.0);  // 4 hops
 
   exp::Metrics m;
-  m.scalar("within_100ms_frac", sink.delivered_within(sender.sent(), 100_ms));
+  m.scalar("within_100ms_frac", sink.delivered_within(sender.totals().sent, 100_ms));
   m.samples("latency_ms").merge(sink.latencies_ms());
   m.scalar("wire_overhead", bytes / baseline);
   return m;

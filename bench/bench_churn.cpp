@@ -26,6 +26,7 @@
 #include <cmath>
 
 #include "bench_common.hpp"
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "net/failures.hpp"
 #include "overlay/churn.hpp"
@@ -68,9 +69,8 @@ exp::Metrics run_detect(Duration run_for, std::uint64_t seed) {
 
   overlay::ServiceSpec spec;  // link-state: the rerouting path under test
   const TimePoint t0 = sim.now();
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(5, 41), spec, 500.0, 400,
-                            t0, t0 + run_for}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 400, .rate_pps = 500.0},
+                            overlay::Destination::unicast(5, 41), t0, t0 + run_for};
 
   // Crash the CURRENT first-hop relay at t0+5s (resolved at crash time, so
   // the victim is on the path in use, whatever the weights made it).
@@ -191,15 +191,14 @@ exp::Metrics run_partition(std::uint64_t seed) {
   cross_sink.on_message([&](const overlay::Message&, Duration) {
     cross_arrivals.push_back(sim.now().to_seconds_f());
   });
-  client::CbrSender cross{sim, src,
-                          {overlay::Destination::unicast(7, 41), spec, 200.0, 300,
-                           t0, t0 + 30_s}};
+  client::FlowEngine cross{sim, src, {.spec = spec, .payload_bytes = 300, .rate_pps = 200.0},
+                           overlay::Destination::unicast(7, 41), t0, t0 + 30_s};
   // Intra-side flow 0 -> 3: must keep flowing while partitioned.
   auto& intra_dst = fx.overlay->node(3).connect(42);
   client::MeasuringSink intra_sink{intra_dst};
-  client::CbrSender intra{sim, fx.overlay->node(0).connect(43),
-                          {overlay::Destination::unicast(3, 42), spec, 200.0, 300,
-                           t0, t0 + 30_s}};
+  client::FlowEngine intra{sim, fx.overlay->node(0).connect(43),
+                           {.spec = spec, .payload_bytes = 300, .rate_pps = 200.0},
+                           overlay::Destination::unicast(3, 42), t0, t0 + 30_s};
 
   overlay::ChurnScript churn{*fx.overlay};
   const TimePoint cut_at = t0 + 5_s;

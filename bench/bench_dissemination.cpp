@@ -19,6 +19,7 @@
 // dissemination graph / constrained flooding, all with the RealtimeSimple
 // one-shot recovery protocol and a 65 ms one-way deadline.
 #include "bench_common.hpp"
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
 
@@ -75,9 +76,9 @@ exp::Metrics run(RouteScheme scheme, std::uint8_t k, std::uint8_t fanin,
   spec.link_protocol = overlay::LinkProtocol::kRealtimeSimple;
   spec.deadline = 65_ms;
 
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(kDst, 50), spec, 1000, 400,
-                            sim.now(), sim.now() + traffic_time}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 400, .rate_pps = 1000},
+                            overlay::Destination::unicast(kDst, 50), sim.now(),
+                            sim.now() + traffic_time};
   std::uint64_t fwd_before = 0;
   for (NodeId n = 0; n < net.size(); ++n) fwd_before += net.node(n).stats().forwarded;
   sim.run_for(traffic_time + 2_s);
@@ -85,10 +86,10 @@ exp::Metrics run(RouteScheme scheme, std::uint8_t k, std::uint8_t fanin,
   for (NodeId n = 0; n < net.size(); ++n) fwd_after += net.node(n).stats().forwarded;
 
   exp::Metrics m;
-  m.scalar("delivered_frac", sink.delivery_ratio(sender.sent()));
-  m.scalar("within_65ms_frac", sink.delivered_within(sender.sent(), 65_ms));
+  m.scalar("delivered_frac", sink.delivery_ratio(sender.totals().sent));
+  m.scalar("within_65ms_frac", sink.delivered_within(sender.totals().sent, 65_ms));
   m.scalar("copies_per_msg",
-           static_cast<double>(fwd_after - fwd_before) / static_cast<double>(sender.sent()));
+           static_cast<double>(fwd_after - fwd_before) / static_cast<double>(sender.totals().sent));
   return m;
 }
 

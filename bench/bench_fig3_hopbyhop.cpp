@@ -12,6 +12,7 @@
 // Both configurations run over IDENTICAL underlay fiber (the direct overlay
 // link rides the same five physical hops); only where the ARQ runs differs.
 #include "bench_common.hpp"
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
 
@@ -46,16 +47,16 @@ exp::Metrics run(double per_hop_loss, bool hop_by_hop, Duration traffic_time,
   spec.custom_mask = hop_by_hop ? fx.chain_mask() : fx.direct_mask();
   spec.link_protocol = LinkProtocol::kReliable;
 
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(5, 200), spec, 1000, 1200,
-                            sim.now(), sim.now() + traffic_time}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 1200, .rate_pps = 1000},
+                            overlay::Destination::unicast(5, 200), sim.now(),
+                            sim.now() + traffic_time};
   sim.run_for(traffic_time + 10_s);
 
   exp::Metrics m;
-  m.scalar("sent", static_cast<double>(sender.sent()));
+  m.scalar("sent", static_cast<double>(sender.totals().sent));
   m.scalar("received", static_cast<double>(sink.received()));
   m.scalar("delivered_pct",
-           100.0 * static_cast<double>(sink.received()) / static_cast<double>(sender.sent()));
+           100.0 * static_cast<double>(sink.received()) / static_cast<double>(sender.totals().sent));
   auto& latency = m.samples("latency_ms");
   auto& recovered = m.samples("recovered_ms");
   auto& hist = m.hist("latency_hist", 40.0, 200.0, 16);

@@ -14,6 +14,7 @@
 // (Gilbert-Elliott) loss on every fiber hop. Live video at 1000 pkt/s.
 // Deadline: 200 ms one way.
 #include "bench_common.hpp"
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
 #include "overlay/realtime.hpp"
@@ -70,9 +71,9 @@ exp::Metrics run(const Config& cfg, double mean_bad_ms, Duration traffic_time,
   spec.nm_requests = cfg.n;
   spec.nm_retransmissions = cfg.m;
 
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(4, 200), spec, 1000, 1200,
-                            sim.now(), sim.now() + traffic_time}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 1200, .rate_pps = 1000},
+                            overlay::Destination::unicast(4, 200), sim.now(),
+                            sim.now() + traffic_time};
   sim.run_for(traffic_time + 5_s);
 
   // Cost: data+retransmission frames per hop, averaged over hops, per
@@ -91,12 +92,12 @@ exp::Metrics run(const Config& cfg, double mean_bad_ms, Duration traffic_time,
   }
 
   exp::Metrics m;
-  m.scalar("delivered_frac", sink.delivery_ratio(sender.sent()));
-  m.scalar("within_deadline_frac", sink.delivered_within(sender.sent(), 200_ms));
+  m.scalar("delivered_frac", sink.delivery_ratio(sender.totals().sent));
+  m.scalar("within_deadline_frac", sink.delivered_within(sender.totals().sent, 200_ms));
   m.samples("latency_ms").merge(sink.latencies_ms());
-  m.scalar("cost", hops > 0 && sender.sent() > 0
+  m.scalar("cost", hops > 0 && sender.totals().sent > 0
                        ? data_frames / static_cast<double>(hops) /
-                             static_cast<double>(sender.sent())
+                             static_cast<double>(sender.totals().sent)
                        : 1.0);
   return m;
 }

@@ -29,6 +29,7 @@
 #include <map>
 
 #include "bench_common.hpp"
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sha256.hpp"
@@ -158,19 +159,17 @@ exp::Metrics run_fairness(bool fair, Duration traffic_time, std::uint64_t seed) 
   std::map<overlay::NodeId, std::uint64_t> got;
   dst.set_handler([&](const overlay::Message& m, Duration) { ++got[m.hdr.origin]; });
 
-  std::vector<std::unique_ptr<client::CbrSender>> senders;
+  std::vector<std::unique_ptr<client::FlowEngine>> senders;
   for (overlay::NodeId s = 0; s < 4; ++s) {
     auto& c = net.node(s).connect(10);
-    senders.push_back(std::make_unique<client::CbrSender>(
-        sim, c,
-        client::CbrSender::Options{overlay::Destination::unicast(6, 50), spec, 150, 500,
-                                   sim.now(), sim.now() + traffic_time}));
+    senders.push_back(std::make_unique<client::FlowEngine>(
+        sim, c, client::FlowClass{.spec = spec, .payload_bytes = 500, .rate_pps = 150},
+        overlay::Destination::unicast(6, 50), sim.now(), sim.now() + traffic_time));
   }
   auto& attacker = net.node(4).connect(10);
-  senders.push_back(std::make_unique<client::CbrSender>(
-      sim, attacker,
-      client::CbrSender::Options{overlay::Destination::unicast(6, 50), spec, 5000, 500,
-                                 sim.now(), sim.now() + traffic_time}));
+  senders.push_back(std::make_unique<client::FlowEngine>(
+      sim, attacker, client::FlowClass{.spec = spec, .payload_bytes = 500, .rate_pps = 5000},
+      overlay::Destination::unicast(6, 50), sim.now(), sim.now() + traffic_time));
   sim.run_for(traffic_time + 2_s);
 
   exp::Metrics m;

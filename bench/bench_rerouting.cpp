@@ -19,6 +19,7 @@
 #include <algorithm>
 
 #include "bench_common.hpp"
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
 
@@ -111,9 +112,9 @@ exp::Metrics run_overlay(bool cut_both_isps, Duration run_for, std::uint64_t see
   });
 
   overlay::ServiceSpec spec;  // link-state + best effort: pure rerouting test
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(9, 50), spec, kRate, 800,
-                            sim.now(), TimePoint::zero() + 3_s + run_for}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 800, .rate_pps = kRate},
+                            overlay::Destination::unicast(9, 50), sim.now(),
+                            TimePoint::zero() + 3_s + run_for};
 
   sim.schedule_at(TimePoint::zero() + 3_s + (kCutAt - TimePoint::zero()), [&]() {
     // Cut the fiber (both ISPs' copies if requested) under the first overlay
@@ -123,7 +124,7 @@ exp::Metrics run_overlay(bool cut_both_isps, Duration run_for, std::uint64_t see
     if (cut_both_isps) inet.set_link_up(u.links_b[nh], false);
   });
   sim.run_until(TimePoint::zero() + 3_s + run_for);
-  return gap_metrics(arrivals, sender.sent(), sink.received(), 3.0,
+  return gap_metrics(arrivals, sender.totals().sent, sink.received(), 3.0,
                      3.0 + run_for.to_seconds_f());
 }
 

@@ -64,10 +64,9 @@ exp::Metrics run(std::size_t n, Duration traffic_time, int recompute_iters,
   sink.on_message([&](const overlay::Message&, Duration) {
     arrivals.push_back(sim.now().to_seconds_f());
   });
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(dst_id, 2),
-                            overlay::ServiceSpec{}, 500, 200, sim.now(),
-                            sim.now() + traffic_time}};
+  client::FlowEngine sender{sim, src, {.payload_bytes = 200, .rate_pps = 500},
+                            overlay::Destination::unicast(dst_id, 2), sim.now(),
+                            sim.now() + traffic_time};
 
   std::uint64_t frames0 = 0;
   for (overlay::NodeId i = 0; i < n; ++i) frames0 += fx.overlay->node(i).stats().frames_sent;

@@ -7,8 +7,9 @@
 // keeps both the telemetry fan-in and the command channel alive.
 #include <cstdio>
 
-#include "client/traffic.hpp"
+#include "client/flow_engine.hpp"
 #include "overlay/network.hpp"
+#include "sim/stats.hpp"
 
 using namespace son;
 using namespace son::sim::literals;
@@ -60,14 +61,14 @@ int main() {
   // Telemetry: timeliness over completeness — best effort is appropriate
   // (the latest reading supersedes lost ones).
   overlay::ServiceSpec telemetry_spec;  // link-state multicast, best effort
-  std::vector<std::unique_ptr<client::PoissonSender>> publishers;
+  std::vector<std::unique_ptr<client::FlowEngine>> publishers;
   sim::Rng rng{23};
   for (overlay::NodeId n = 0; n < net.size(); ++n) {
-    publishers.push_back(std::make_unique<client::PoissonSender>(
+    publishers.push_back(std::make_unique<client::FlowEngine>(
         sim, *agents[n],
-        client::PoissonSender::Options{overlay::Destination::multicast(kTelemetry),
-                                       telemetry_spec, 50, 300, sim.now(),
-                                       sim.now() + 30_s},
+        client::FlowClass{
+            .spec = telemetry_spec, .payload_bytes = 300, .rate_pps = 50, .poisson = true},
+        overlay::Destination::multicast(kTelemetry), sim.now(), sim.now() + 30_s,
         rng.fork(n)));
   }
 
@@ -75,9 +76,10 @@ int main() {
   overlay::ServiceSpec command_spec;
   command_spec.link_protocol = overlay::LinkProtocol::kReliable;
   command_spec.ordered = true;
-  client::CbrSender commander{sim, wdc_ops,
-                              {overlay::Destination::multicast(kCommands), command_spec, 10,
-                               200, sim.now() + 1_s, sim.now() + 30_s}};
+  client::FlowEngine commander{sim, wdc_ops,
+                               {.spec = command_spec, .payload_bytes = 200, .rate_pps = 10},
+                               overlay::Destination::multicast(kCommands), sim.now() + 1_s,
+                               sim.now() + 30_s};
 
   // Disaster: ISP A suffers a total outage for 10 s in the middle of the run.
   sim.schedule(12_s, [&]() {
@@ -92,7 +94,7 @@ int main() {
   sim.run_for(35_s);
 
   std::uint64_t published = 0;
-  for (const auto& p : publishers) published += p->sent();
+  for (const auto& p : publishers) published += p->totals().sent;
   std::printf("\ncloud monitoring & control, 30 s, 12 regions, 10 s total ISP-A outage mid-run:\n");
   for (const auto& o : ops) {
     std::printf("  %-8s telemetry received %llu/%llu (%.2f%%), p99 latency %.2f ms\n",
@@ -102,8 +104,8 @@ int main() {
                 o.lat_ms.quantile(0.99));
   }
   std::printf("  commands: %llu sent x 12 regions = %llu expected, %llu delivered\n",
-              static_cast<unsigned long long>(commander.sent()),
-              static_cast<unsigned long long>(commander.sent() * 12),
+              static_cast<unsigned long long>(commander.totals().sent),
+              static_cast<unsigned long long>(commander.totals().sent * 12),
               static_cast<unsigned long long>(commands_received));
   std::printf("\nThe ISP-wide outage is absorbed by multihoming: overlay links fail\n");
   std::printf("over to the second provider within a few hello intervals, so both\n");

@@ -14,6 +14,7 @@
 // sharding the feeds across the two overlays restores line-rate service.
 #include <cstdio>
 
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
 
@@ -81,25 +82,24 @@ int main() {
     // Feed i: 1250 pkt/s x 1200 B = 12 Mbps, site 0 -> site 2.
     overlay::OverlayNetwork* nets[2] = {
         d.overlay_a.get(), cluster ? d.overlay_b.get() : d.overlay_a.get()};
-    std::vector<std::unique_ptr<client::CbrSender>> senders;
+    std::vector<std::unique_ptr<client::FlowEngine>> senders;
     std::vector<std::unique_ptr<client::MeasuringSink>> sinks;
     for (int feed = 0; feed < 2; ++feed) {
       auto& src = nets[feed]->node(0).connect(static_cast<overlay::VirtualPort>(100 + feed));
       auto& dst = nets[feed]->node(2).connect(static_cast<overlay::VirtualPort>(200 + feed));
       sinks.push_back(std::make_unique<client::MeasuringSink>(dst));
       overlay::ServiceSpec spec;  // best effort: shows raw capacity
-      senders.push_back(std::make_unique<client::CbrSender>(
-          d.sim, src,
-          client::CbrSender::Options{
-              overlay::Destination::unicast(2, static_cast<overlay::VirtualPort>(200 + feed)),
-              spec, 1250, 1200, d.sim.now(), d.sim.now() + 10_s}));
+      senders.push_back(std::make_unique<client::FlowEngine>(
+          d.sim, src, client::FlowClass{.spec = spec, .payload_bytes = 1200, .rate_pps = 1250},
+          overlay::Destination::unicast(2, static_cast<overlay::VirtualPort>(200 + feed)),
+          d.sim.now(), d.sim.now() + 10_s));
     }
     d.sim.run_for(12_s);
     std::printf("%22s", cluster ? "cluster (2 overlays)" : "single machine");
     for (int feed = 0; feed < 2; ++feed) {
       std::printf(" %11.2f%% %10.1fms",
                   100.0 * sinks[static_cast<std::size_t>(feed)]->delivery_ratio(
-                              senders[static_cast<std::size_t>(feed)]->sent()),
+                              senders[static_cast<std::size_t>(feed)]->totals().sent),
                   sinks[static_cast<std::size_t>(feed)]->latencies_ms().quantile(0.99));
     }
     std::printf("\n");

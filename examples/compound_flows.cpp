@@ -10,9 +10,10 @@
 // transcoding facility at a different location."
 #include <cstdio>
 
-#include "client/traffic.hpp"
+#include "client/flow_engine.hpp"
 #include "overlay/network.hpp"
 #include "overlay/transform.hpp"
+#include "sim/stats.hpp"
 
 using namespace son;
 using namespace son::sim::literals;
@@ -85,12 +86,14 @@ int main() {
   auto& stadium_any = net.node(6).connect(2002);
   overlay::ServiceSpec feed_spec;
   feed_spec.link_protocol = overlay::LinkProtocol::kReliable;
-  client::CbrSender camera{sim, stadium_mc,
-                           {overlay::Destination::multicast(kMpegFeed), feed_spec, 416,
-                            1200, sim.now(), sim.now() + 30_s}};
-  client::CbrSender to_transcoder{sim, stadium_any,
-                                  {overlay::Destination::anycast(kTranscode), feed_spec,
-                                   416, 1200, sim.now(), sim.now() + 30_s}};
+  client::FlowEngine camera{sim, stadium_mc,
+                            {.spec = feed_spec, .payload_bytes = 1200, .rate_pps = 416},
+                            overlay::Destination::multicast(kMpegFeed), sim.now(),
+                            sim.now() + 30_s};
+  client::FlowEngine to_transcoder{sim, stadium_any,
+                                   {.spec = feed_spec, .payload_bytes = 1200, .rate_pps = 416},
+                                   overlay::Destination::anycast(kTranscode), sim.now(),
+                                   sim.now() + 30_s};
 
   // At t=+12 s the DFW facility's machine crashes; anycast shifts the
   // compound flow to the DEN facility.
@@ -106,7 +109,7 @@ int main() {
   for (const auto& s : sports) {
     std::printf("  %-8s broadcast frames %llu/%llu\n", s.name,
                 static_cast<unsigned long long>(s.frames),
-                static_cast<unsigned long long>(camera.sent()));
+                static_cast<unsigned long long>(camera.totals().sent));
   }
   std::printf("  transcoders: DFW consumed %llu (crashed mid-run), DEN consumed %llu\n",
               static_cast<unsigned long long>(dfw_facility.stats().consumed),

@@ -9,8 +9,9 @@
 // network trying to consume forwarding resources.
 #include <cstdio>
 
-#include "client/traffic.hpp"
+#include "client/flow_engine.hpp"
 #include "overlay/network.hpp"
+#include "sim/stats.hpp"
 
 using namespace son;
 using namespace son::sim::literals;
@@ -58,9 +59,10 @@ int main() {
   monitoring.scheme = overlay::RouteScheme::kFlooding;
   monitoring.link_protocol = overlay::LinkProtocol::kITPriority;
   monitoring.priority = 7;
-  client::CbrSender sensor_stream{sim, sensors,
-                                  {overlay::Destination::unicast(kControl, 3001),
-                                   monitoring, 200, 400, sim.now(), sim.now() + 20_s}};
+  client::FlowEngine sensor_stream{sim, sensors,
+                                   {.spec = monitoring, .payload_bytes = 400, .rate_pps = 200},
+                                   overlay::Destination::unicast(kControl, 3001), sim.now(),
+                                   sim.now() + 20_s};
 
   // Control: IT-Reliable over 2 node-disjoint paths (tolerates the single
   // blackholing node wherever it sits).
@@ -68,18 +70,19 @@ int main() {
   command.scheme = overlay::RouteScheme::kDisjointPaths;
   command.num_paths = 2;
   command.link_protocol = overlay::LinkProtocol::kITReliable;
-  client::CbrSender commander{sim, control,
-                              {overlay::Destination::unicast(kField, 3002), command, 20,
-                               200, sim.now(), sim.now() + 20_s}};
+  client::FlowEngine commander{sim, control,
+                               {.spec = command, .payload_bytes = 200, .rate_pps = 20},
+                               overlay::Destination::unicast(kField, 3002), sim.now(),
+                               sim.now() + 20_s};
 
   // The flooder hammers the control center at 20x the sensors' rate with
   // max priority, trying to crowd them out.
   auto& flooder = net.node(kFlooder).connect(3999);
   overlay::ServiceSpec junk = monitoring;
   junk.priority = 9;
-  client::CbrSender flood{sim, flooder,
-                          {overlay::Destination::unicast(kControl, 3001), junk, 4000, 400,
-                           sim.now(), sim.now() + 20_s}};
+  client::FlowEngine flood{sim, flooder, {.spec = junk, .payload_bytes = 400, .rate_pps = 4000},
+                           overlay::Destination::unicast(kControl, 3001), sim.now(),
+                           sim.now() + 20_s};
 
   sim.run_for(25_s);
 
@@ -87,18 +90,18 @@ int main() {
   std::printf("blackholing node (3) and a 4000 msg/s flooding source (9):\n\n");
   std::printf("  monitoring : %llu/%llu delivered (%.2f%%), p99 %.1f ms\n",
               static_cast<unsigned long long>(monitoring_got),
-              static_cast<unsigned long long>(sensor_stream.sent()),
+              static_cast<unsigned long long>(sensor_stream.totals().sent),
               100.0 * static_cast<double>(monitoring_got) /
-                  static_cast<double>(sensor_stream.sent()),
+                  static_cast<double>(sensor_stream.totals().sent),
               mon_lat.quantile(0.99));
   std::printf("  commands   : %llu/%llu delivered (%.2f%%) via IT-Reliable\n",
               static_cast<unsigned long long>(commands_got),
-              static_cast<unsigned long long>(commander.sent()),
+              static_cast<unsigned long long>(commander.totals().sent),
               100.0 * static_cast<double>(commands_got) /
-                  static_cast<double>(commander.sent()));
+                  static_cast<double>(commander.totals().sent));
   std::printf("  flood junk : %llu/%llu admitted at the control center\n",
               static_cast<unsigned long long>(junk_got),
-              static_cast<unsigned long long>(flood.sent()));
+              static_cast<unsigned long long>(flood.totals().sent));
   std::printf("  auth       : every data frame carried a per-hop HMAC-SHA256 tag\n");
   std::printf("\nThe fair per-source round-robin keeps the sensors' full stream flowing\n");
   std::printf("despite the 20x flood; redundant dissemination routes around the\n");

@@ -4,8 +4,9 @@
 // bursty loss while guaranteeing timeliness.
 #include <cstdio>
 
-#include "client/traffic.hpp"
+#include "client/flow_engine.hpp"
 #include "overlay/network.hpp"
+#include "sim/stats.hpp"
 
 using namespace son;
 using namespace son::sim::literals;
@@ -70,15 +71,13 @@ int main() {
   live.nm_retransmissions = 3;
 
   // 60 s of 1.5 Mbps video each way.
-  client::CbrSender cam_nyc{sim, nyc,
-                            {overlay::Destination::unicast(9, 7000), live, 156, 1200,
-                             sim.now(), sim.now() + 60_s}};
-  client::CbrSender cam_lax{sim, lax,
-                            {overlay::Destination::unicast(0, 7000), live, 156, 1200,
-                             sim.now(), sim.now() + 60_s}};
+  client::FlowEngine cam_nyc{sim, nyc, {.spec = live, .payload_bytes = 1200, .rate_pps = 156},
+                             overlay::Destination::unicast(9, 7000), sim.now(), sim.now() + 60_s};
+  client::FlowEngine cam_lax{sim, lax, {.spec = live, .payload_bytes = 1200, .rate_pps = 156},
+                             overlay::Destination::unicast(0, 7000), sim.now(), sim.now() + 60_s};
   sim.run_for(62_s);
-  legs[0].sent = cam_nyc.sent();
-  legs[1].sent = cam_lax.sent();
+  legs[0].sent = cam_nyc.totals().sent;
+  legs[1].sent = cam_lax.totals().sent;
 
   std::printf("live interview, 60 s each way, NM-Strikes(3,3), 200 ms deadline,\n");
   std::printf("bursty loss on every fiber (avg %.2f%%):\n\n",

@@ -7,8 +7,9 @@
 // where the problems are.
 #include <cstdio>
 
-#include "client/traffic.hpp"
+#include "client/flow_engine.hpp"
 #include "overlay/network.hpp"
+#include "sim/stats.hpp"
 
 using namespace son;
 using namespace son::sim::literals;
@@ -58,9 +59,8 @@ int main() {
   haptic.link_protocol = overlay::LinkProtocol::kRealtimeSimple;
   haptic.deadline = 65_ms;
 
-  client::CbrSender hand{sim, surgeon,
-                         {overlay::Destination::unicast(kRobot, 4001), haptic, 500, 200,
-                          sim.now(), sim.now() + 60_s}};
+  client::FlowEngine hand{sim, surgeon, {.spec = haptic, .payload_bytes = 200, .rate_pps = 500},
+                          overlay::Destination::unicast(kRobot, 4001), sim.now(), sim.now() + 60_s};
 
   // Video/haptic feedback the other way: same service.
   std::uint64_t fb_on_time = 0;
@@ -69,24 +69,24 @@ int main() {
     ++fb_total;
     if (lat <= 65_ms) ++fb_on_time;
   });
-  client::CbrSender feedback{sim, robot,
-                             {overlay::Destination::unicast(kSurgeon, 4000), haptic, 500,
-                              400, sim.now(), sim.now() + 60_s}};
+  client::FlowEngine feedback{sim, robot, {.spec = haptic, .payload_bytes = 400, .rate_pps = 500},
+                              overlay::Destination::unicast(kSurgeon, 4000), sim.now(),
+                              sim.now() + 60_s};
 
   sim.run_for(62_s);
 
   std::printf("remote surgery: 60 s of 500 Hz haptics across a continent (~40 ms),\n");
   std::printf("recurring 2-fiber loss bursts at the hospital side:\n\n");
   std::printf("  commands : %llu sent, %llu within 65 ms (%.4f%%), %llu late/lost\n",
-              static_cast<unsigned long long>(hand.sent()),
+              static_cast<unsigned long long>(hand.totals().sent),
               static_cast<unsigned long long>(on_time),
-              100.0 * static_cast<double>(on_time) / static_cast<double>(hand.sent()),
-              static_cast<unsigned long long>(hand.sent() - on_time));
+              100.0 * static_cast<double>(on_time) / static_cast<double>(hand.totals().sent),
+              static_cast<unsigned long long>(hand.totals().sent - on_time));
   std::printf("  feedback : %llu sent, %llu delivered within 65 ms (%.4f%%)\n",
-              static_cast<unsigned long long>(feedback.sent()),
+              static_cast<unsigned long long>(feedback.totals().sent),
               static_cast<unsigned long long>(fb_on_time),
               100.0 * static_cast<double>(fb_on_time) /
-                  static_cast<double>(feedback.sent()));
+                  static_cast<double>(feedback.totals().sent));
   std::printf("  command latency: p50 %.2f ms, p99 %.2f ms, max %.2f ms\n",
               lat_ms.quantile(0.5), lat_ms.quantile(0.99), lat_ms.max());
   std::printf("\nWithin the 20-25 ms of slack the deadline allows, the dissemination\n");

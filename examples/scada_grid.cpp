@@ -17,8 +17,9 @@
 #include <cstdio>
 #include <map>
 
-#include "client/traffic.hpp"
+#include "client/flow_engine.hpp"
 #include "overlay/network.hpp"
+#include "sim/stats.hpp"
 
 using namespace son;
 using namespace son::sim::literals;
@@ -108,18 +109,19 @@ int main() {
 
   // 20 s of grid telemetry at 10 readings/s from the substation.
   auto& sensor = net.node(kSubstation).connect(703);
-  client::CbrSender telemetry{sim, sensor,
-                              {overlay::Destination::multicast(kReadings), reading_spec,
-                               10, 200, sim.now(), sim.now() + 20_s}};
+  client::FlowEngine telemetry{sim, sensor,
+                               {.spec = reading_spec, .payload_bytes = 200, .rate_pps = 10},
+                               overlay::Destination::multicast(kReadings), sim.now(),
+                               sim.now() + 20_s};
   sim.run_for(25_s);
 
   std::printf("SCADA loop over a compromised 12-node overlay (node 3 blackholes):\n\n");
   std::printf("  readings sent        : %llu\n",
-              static_cast<unsigned long long>(telemetry.sent()));
+              static_cast<unsigned long long>(telemetry.totals().sent));
   std::printf("  actuations (2-of-2)  : %llu (%.1f%%)\n",
               static_cast<unsigned long long>(actuations),
               100.0 * static_cast<double>(actuations) /
-                  static_cast<double>(telemetry.sent()));
+                  static_cast<double>(telemetry.totals().sent));
   std::printf("  sensor->actuation RTT: p50 %.1f ms, p99 %.1f ms, max %.1f ms\n",
               round_trip_ms.quantile(0.5), round_trip_ms.quantile(0.99),
               round_trip_ms.max());

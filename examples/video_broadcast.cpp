@@ -7,8 +7,9 @@
 // degrades one backbone fiber; the hop-by-hop ARQ absorbs it.
 #include <cstdio>
 
-#include "client/traffic.hpp"
+#include "client/flow_engine.hpp"
 #include "overlay/network.hpp"
+#include "sim/stats.hpp"
 
 using namespace son;
 using namespace son::sim::literals;
@@ -47,9 +48,8 @@ int main() {
   spec.link_protocol = overlay::LinkProtocol::kReliable;
   spec.ordered = true;
   auto& studio = net.node(0).connect(8001);
-  client::CbrSender camera{sim, studio,
-                           {overlay::Destination::multicast(kChannel), spec, 416, 1200,
-                            sim.now(), sim.now() + 30_s}};
+  client::FlowEngine camera{sim, studio, {.spec = spec, .payload_bytes = 1200, .rate_pps = 416},
+                            overlay::Destination::multicast(kChannel), sim.now(), sim.now() + 30_s};
 
   // A 5-second 10% loss episode on the NYC-CHI fiber (both ISPs) at t=10 s.
   const auto edge = net.designed_topology().find_edge(0, 4);
@@ -70,7 +70,7 @@ int main() {
   for (const auto& s : sinks) {
     std::printf("%6s %10llu %11.3f%% %10.2f %10.2f %10.2f\n", s.name.c_str(),
                 static_cast<unsigned long long>(s.frames),
-                100.0 * static_cast<double>(s.frames) / static_cast<double>(camera.sent()),
+                100.0 * static_cast<double>(s.frames) / static_cast<double>(camera.totals().sent),
                 s.latency_ms.quantile(0.5), s.latency_ms.quantile(0.99),
                 s.latency_ms.max());
   }

@@ -47,6 +47,9 @@ FlowEngine::FlowEngine(sim::Simulator& sim, overlay::ClientEndpoint& client,
       rng_{rng} {
   SON_DCHECK(!opts_.classes.empty(), "FlowEngine needs at least one FlowClass");
   SON_DCHECK(!opts_.dests.empty(), "FlowEngine needs at least one destination");
+  // cls_ and dest_ store the indices narrowed to 8 and 16 bits.
+  SON_DCHECK(opts_.classes.size() <= 256, "FlowEngine holds at most 256 flow classes");
+  SON_DCHECK(opts_.dests.size() <= 65536, "FlowEngine holds at most 65536 destinations");
   SON_DCHECK(opts_.buckets > 0 && opts_.bucket_width > sim::Duration::zero(),
              "degenerate bucket wheel");
   bucket_width_ns_ = opts_.bucket_width.ns();
@@ -82,6 +85,30 @@ FlowEngine::FlowEngine(sim::Simulator& sim, overlay::ClientEndpoint& client,
   dest_.reserve(cap);
   heap_.reserve(cap + 1);
   free_list_.reserve(cap);
+}
+
+namespace {
+
+FlowEngineOptions one_flow_options(const FlowClass& cls, const overlay::Destination& dest,
+                                   sim::TimePoint first, sim::TimePoint stop) {
+  FlowEngineOptions o;
+  o.classes = {cls};
+  o.dests = {dest};
+  o.start = first;
+  o.stop = stop;
+  o.capacity_headroom = 1;  // one table row, not the default flows / 2 + 1024
+  o.legacy_identity = true;
+  return o;
+}
+
+}  // namespace
+
+FlowEngine::FlowEngine(sim::Simulator& sim, overlay::ClientEndpoint& client,
+                       const FlowClass& cls, const overlay::Destination& dest,
+                       sim::TimePoint first, sim::TimePoint stop, sim::Rng rng)
+    : FlowEngine{sim, client, one_flow_options(cls, dest, first, stop), sim::Rng{}} {
+  (void)add_flow(0, 0, first, stop, rng);
+  start();
 }
 
 FlowEngine::~FlowEngine() {

@@ -1,14 +1,14 @@
-// Flyweight aggregate client model: millions of concurrent flows per trial.
+// Flyweight aggregate client model: the one traffic source, from a single
+// CBR or Poisson flow up to millions of concurrent flows per trial.
 //
-// The per-object senders in traffic.hpp carry one heap object and one
-// simulator timer per flow — structurally wrong past ~10^4 flows. FlowEngine
-// replaces them with per-edge-site flow TABLES in SoA layout (parallel
-// arrays of next-fire time, inter-packet gap, remaining packet budget,
-// service class and destination index; no per-flow allocation, no per-flow
+// An engine keeps per-edge-site flow TABLES in SoA layout (parallel arrays
+// of next-fire time, inter-packet gap, remaining packet budget, service
+// class and destination index; no per-flow allocation, no per-flow
 // sim::EventId) driven by ONE calendar/bucket-wheel timer per engine. Flow
-// populations are either built explicitly (add_flow) or drawn as batched
-// arrivals from a configurable arrival-rate curve (constant, diurnal wave,
-// flash-crowd spike) with exponential flow lifetimes.
+// populations are either built explicitly (add_flow; the one-flow
+// constructor is the single-flow case) or drawn as batched arrivals from a
+// configurable arrival-rate curve (constant, diurnal wave, flash-crowd
+// spike) with exponential flow lifetimes.
 //
 // Sends are injected through the existing overlay::ClientEndpoint, so every
 // service class (reliable / timely / intrusion-tolerant), the routing
@@ -17,11 +17,12 @@
 // sim::component_stream.
 //
 // Determinism contract: with `legacy_identity` set and an explicit flow
-// population, an engine is BIT-IDENTICAL to the equivalent set of
-// client::CbrSender / PoissonSender objects (same send instants, same send
-// order at shared instants, same flow identities) — pinned by the
-// FlowEngine golden-run test. The wheel's scheduling-order stamps reproduce
-// the event queue's (time, seq) tie-breaking exactly.
+// population, N one-flow engines are BIT-IDENTICAL to one N-flow engine
+// (same send instants, same send order at shared instants, same flow
+// identities), and both reproduce the recorded constants of the per-object
+// senders this engine replaced — pinned by the FlowEngine golden-run tests.
+// The wheel's scheduling-order stamps reproduce the event queue's (time, seq)
+// tie-breaking exactly.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +66,7 @@ struct LoadCurve {
 /// One service-class row shared by many flows (flyweight intrinsic state).
 struct FlowClass {
   std::string name = "cbr";
-  overlay::ServiceSpec spec;
+  overlay::ServiceSpec spec{};  // {}: designated initializers may omit it (-Wextra)
   std::size_t payload_bytes = 200;
   double rate_pps = 1.0;  // per-flow packet rate
   bool poisson = false;   // exponential inter-packet gaps vs fixed (CBR)
@@ -83,7 +84,9 @@ struct FlowEngineOptions {
   std::size_t flows = 0;
   LoadCurve curve;
   sim::TimePoint start;
-  sim::TimePoint stop;  // no packets and no activations at/after this time
+  /// Curve-driven flows: no packets and no activations at/after this time.
+  /// A flow from add_flow() carries its own stop instead.
+  sim::TimePoint stop;
   /// Mean flow lifetime (exponential) for curve-driven churn. zero() = the
   /// initial population lives until `stop` and no later arrivals occur
   /// (only valid with a constant curve — DCHECKed at start()).
@@ -98,8 +101,8 @@ struct FlowEngineOptions {
   /// Extra flow-slot capacity reserved beyond `flows` so bursty curves do
   /// not grow the tables mid-run. 0 = flows / 2 + 1024.
   std::size_t capacity_headroom = 0;
-  /// Send through ClientEndpoint::send() — per-endpoint flow identity and
-  /// sequence numbers, bit-compatible with the one-object-per-flow senders.
+  /// Send through ClientEndpoint::send() — the endpoint's own flow key and
+  /// sequence numbers, so every flow of the endpoint shares one identity.
   /// Default (false) uses the flyweight send_flow() path, which keeps zero
   /// per-flow state in the endpoint: every flow gets a distinct tag and the
   /// engine holds its sequence numbers in the SoA tables.
@@ -114,14 +117,20 @@ class FlowEngine {
   /// derive it via sim::component_stream for layout independence.
   FlowEngine(sim::Simulator& sim, overlay::ClientEndpoint& client, FlowEngineOptions opts,
              sim::Rng rng);
+  /// One flow of class `cls` to `dest`, armed at once: first packet at
+  /// `first`, last strictly before `stop`, sent with `legacy_identity`.
+  /// `rng` is the flow's gap stream (poisson classes only).
+  FlowEngine(sim::Simulator& sim, overlay::ClientEndpoint& client, const FlowClass& cls,
+             const overlay::Destination& dest, sim::TimePoint first, sim::TimePoint stop,
+             sim::Rng rng = sim::Rng{});
   ~FlowEngine();
   FlowEngine(const FlowEngine&) = delete;
   FlowEngine& operator=(const FlowEngine&) = delete;
 
   /// Explicitly adds one flow: first packet at `first` (clamped to now),
   /// last strictly before `stop`. `rng` seeds the flow's own gap stream
-  /// (poisson classes); pass the same fork the equivalent PoissonSender
-  /// would get for bit-identical draws. Returns the flow's slot index.
+  /// (poisson classes); the engine's own stream is not drawn from. Returns
+  /// the flow's slot index.
   std::uint32_t add_flow(std::size_t cls, std::size_t dest, sim::TimePoint first,
                          sim::TimePoint stop, sim::Rng rng);
 

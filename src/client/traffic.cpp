@@ -2,62 +2,6 @@
 
 namespace son::client {
 
-CbrSender::CbrSender(sim::Simulator& sim, overlay::ClientEndpoint& client, Options opts)
-    : sim_{sim},
-      client_{client},
-      opts_{opts},
-      payload_{overlay::make_payload(opts.payload_bytes)} {
-  timer_ = sim_.schedule_at(opts_.start, [this]() { tick(); });
-}
-
-CbrSender::~CbrSender() { sim_.cancel(timer_); }
-
-void CbrSender::tick() {
-  timer_ = sim::kInvalidEventId;
-  // Stop contract (pinned by the boundary tests): no packets at or after
-  // `stop` — a tick landing exactly on the boundary must not send.
-  if (sim_.now() >= opts_.stop) return;
-  if (client_.send(opts_.dest, payload_, opts_.spec)) {
-    ++sent_;
-  } else {
-    ++blocked_;
-  }
-  const auto interval = sim::Duration::from_seconds_f(1.0 / opts_.rate_pps);
-  // Don't re-arm for a tick that could only hit the refusal above: output-
-  // equivalent, and the simulator never carries a dead wake-up past `stop`.
-  if (sim_.now() + interval < opts_.stop) {
-    timer_ = sim_.schedule(interval, [this]() { tick(); });
-  }
-}
-
-PoissonSender::PoissonSender(sim::Simulator& sim, overlay::ClientEndpoint& client,
-                             Options opts, sim::Rng rng)
-    : sim_{sim},
-      client_{client},
-      opts_{opts},
-      rng_{rng},
-      payload_{overlay::make_payload(opts.payload_bytes)} {
-  timer_ = sim_.schedule_at(opts_.start, [this]() { tick(); });
-}
-
-PoissonSender::~PoissonSender() { sim_.cancel(timer_); }
-
-void PoissonSender::tick() {
-  timer_ = sim::kInvalidEventId;
-  // Same stop contract as CbrSender: no packets at/after `stop`. The gap is
-  // still drawn unconditionally so the RNG stream is identical either way.
-  if (sim_.now() >= opts_.stop) return;
-  if (client_.send(opts_.dest, payload_, opts_.spec)) {
-    ++sent_;
-  } else {
-    ++blocked_;
-  }
-  const auto gap = sim::Duration::from_seconds_f(rng_.exponential(1.0 / opts_.rate_pps));
-  if (sim_.now() + gap < opts_.stop) {
-    timer_ = sim_.schedule(gap, [this]() { tick(); });
-  }
-}
-
 MeasuringSink::MeasuringSink(overlay::ClientEndpoint& client) {
   client.set_handler([this](const overlay::Message& m, sim::Duration latency) {
     if (!seen_.insert(m.hdr.origin_id).second) {

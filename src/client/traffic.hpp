@@ -1,83 +1,14 @@
-// Client-side workload generators and measurement sinks used by the example
-// applications and every benchmark harness.
+// Client-side measurement sink used by the example applications and every
+// benchmark harness; the traffic source is client::FlowEngine.
 #pragma once
 
 #include <functional>
 #include <unordered_set>
-#include <string>
 
 #include "overlay/node.hpp"
 #include "sim/stats.hpp"
 
 namespace son::client {
-
-/// Constant-bit-rate sender (video frames, telemetry ticks).
-class CbrSender {
- public:
-  struct Options {
-    overlay::Destination dest;
-    overlay::ServiceSpec spec;
-    double rate_pps = 1000;        // packets per second
-    std::size_t payload_bytes = 1200;
-    sim::TimePoint start;
-    /// No packets at/after this time: a tick landing exactly on `stop` does
-    /// not send (pinned by the traffic boundary tests; FlowEngine matches).
-    sim::TimePoint stop;
-  };
-
-  CbrSender(sim::Simulator& sim, overlay::ClientEndpoint& client, Options opts);
-  ~CbrSender();
-  CbrSender(const CbrSender&) = delete;
-  CbrSender& operator=(const CbrSender&) = delete;
-
-  [[nodiscard]] std::uint64_t sent() const { return sent_; }
-  [[nodiscard]] std::uint64_t blocked() const { return blocked_; }
-
- private:
-  void tick();
-
-  sim::Simulator& sim_;
-  overlay::ClientEndpoint& client_;
-  Options opts_;
-  overlay::Payload payload_;  // shared across sends
-  std::uint64_t sent_ = 0;
-  std::uint64_t blocked_ = 0;
-  sim::EventId timer_ = sim::kInvalidEventId;
-};
-
-/// Poisson-arrival sender (monitoring events, control commands).
-class PoissonSender {
- public:
-  struct Options {
-    overlay::Destination dest;
-    overlay::ServiceSpec spec;
-    double rate_pps = 100;
-    std::size_t payload_bytes = 400;
-    sim::TimePoint start;
-    sim::TimePoint stop;  // same stop contract as CbrSender::Options
-  };
-
-  PoissonSender(sim::Simulator& sim, overlay::ClientEndpoint& client, Options opts,
-                sim::Rng rng);
-  ~PoissonSender();
-  PoissonSender(const PoissonSender&) = delete;
-  PoissonSender& operator=(const PoissonSender&) = delete;
-
-  [[nodiscard]] std::uint64_t sent() const { return sent_; }
-  [[nodiscard]] std::uint64_t blocked() const { return blocked_; }
-
- private:
-  void tick();
-
-  sim::Simulator& sim_;
-  overlay::ClientEndpoint& client_;
-  Options opts_;
-  sim::Rng rng_;
-  overlay::Payload payload_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t blocked_ = 0;
-  sim::EventId timer_ = sim::kInvalidEventId;
-};
 
 /// Receiver that records per-message one-way latency and, given the sender's
 /// flow sequence numbers, detects gaps/duplicates.

@@ -1,12 +1,12 @@
 // FlowEngine: SoA flow tables + single bucket-wheel timer per edge site.
 //
 // The contracts pinned here:
-//   1. Stop boundary — CbrSender/PoissonSender/FlowEngine all refuse to send
-//      at or after `stop` (a tick landing exactly on the boundary is dead).
-//   2. Golden equivalence — a FlowEngine in legacy_identity mode is
-//      BIT-IDENTICAL to the same population of per-object senders: same send
-//      counts, same node counters, same delivery hash over
-//      (origin_id, flow_seq, latency).
+//   1. Stop boundary — no flow sends at or after its `stop` (a tick landing
+//      exactly on the boundary is dead).
+//   2. Golden equivalence — in legacy_identity mode, N one-flow engines and
+//      one N-flow engine are BIT-IDENTICAL to the recorded results of the
+//      per-object senders they replaced: same send counts, same node
+//      counters, same delivery hash over (origin_id, flow_seq, latency).
 //   3. Zero-allocation ticking — once warm, driving flows through the wheel
 //      performs no heap allocations (sim::alloc_count delta == 0).
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
 #include "sim/alloc_probe.hpp"
+#include "sim/check.hpp"
 
 namespace son::client {
 namespace {
@@ -62,7 +63,7 @@ TEST(LoadCurve, ShapesMatchTheirDefinitions) {
   EXPECT_DOUBLE_EQ(flash.scale_at(t0 + 3_s, t0), 1.0);          // at the end
 }
 
-// ---- Stop-boundary audit of the per-object senders --------------------------
+// ---- Stop boundary -----------------------------------------------------------
 
 struct SmallNet {
   Simulator sim;
@@ -80,15 +81,12 @@ TEST(TrafficStopBoundary, CbrSendsExactlyFloorTicksBeforeStop) {
   auto& dst = f.fx.overlay->node(3).connect(8);
   MeasuringSink sink{dst};
   const TimePoint t0 = f.sim.now();
-  CbrSender::Options o;
-  o.dest = Destination::unicast(3, 8);
-  o.rate_pps = 1000;  // interval exactly 1 ms
-  o.start = t0;
-  o.stop = t0 + 5_ms;  // ticks at t0 + {0..4} ms send; the tick AT stop must not
-  CbrSender cbr{f.sim, src, o};
+  // Interval exactly 1 ms: ticks at t0 + {0..4} ms send; the tick AT stop must not.
+  FlowEngine cbr{f.sim, src, {.payload_bytes = 1200, .rate_pps = 1000},
+                 Destination::unicast(3, 8), t0, t0 + 5_ms};
   f.sim.run_for(1_s);
-  EXPECT_EQ(cbr.sent(), 5u);
-  EXPECT_EQ(cbr.blocked(), 0u);
+  EXPECT_EQ(cbr.totals().sent, 5u);
+  EXPECT_EQ(cbr.totals().blocked, 0u);
   EXPECT_EQ(sink.received(), 5u);
 }
 
@@ -96,19 +94,13 @@ TEST(TrafficStopBoundary, StopEqualToStartSendsNothing) {
   SmallNet f;
   auto& src = f.fx.overlay->node(0).connect(7);
   const TimePoint t0 = f.sim.now();
-  CbrSender::Options co;
-  co.dest = Destination::unicast(3, 8);
-  co.start = t0 + 1_ms;
-  co.stop = t0 + 1_ms;
-  CbrSender cbr{f.sim, src, co};
-  PoissonSender::Options po;
-  po.dest = Destination::unicast(3, 8);
-  po.start = t0 + 2_ms;
-  po.stop = t0 + 2_ms;
-  PoissonSender poi{f.sim, src, po, sim::Rng{7}};
+  FlowEngine cbr{f.sim, src, {.payload_bytes = 1200, .rate_pps = 1000},
+                 Destination::unicast(3, 8), t0 + 1_ms, t0 + 1_ms};
+  FlowEngine poi{f.sim, src, {.payload_bytes = 400, .rate_pps = 100, .poisson = true},
+                 Destination::unicast(3, 8), t0 + 2_ms, t0 + 2_ms, sim::Rng{7}};
   f.sim.run_for(100_ms);
-  EXPECT_EQ(cbr.sent(), 0u);
-  EXPECT_EQ(poi.sent(), 0u);
+  EXPECT_EQ(cbr.totals().sent, 0u);
+  EXPECT_EQ(poi.totals().sent, 0u);
 }
 
 TEST(TrafficStopBoundary, PoissonNeverSendsAtOrAfterStop) {
@@ -118,19 +110,18 @@ TEST(TrafficStopBoundary, PoissonNeverSendsAtOrAfterStop) {
   MeasuringSink sink{dst};
   const TimePoint t0 = f.sim.now();
   const TimePoint stop = t0 + 50_ms;
-  TimePoint last_send = TimePoint::zero();
-  PoissonSender::Options o;
-  o.dest = Destination::unicast(3, 8);
-  o.rate_pps = 2000;
-  o.start = t0;
-  o.stop = stop;
-  PoissonSender poi{f.sim, src, o, sim::Rng{99}};
+  std::uint64_t at_or_after_stop = 0;
+  sink.on_message([&](const overlay::Message& m, Duration) {
+    if (m.hdr.origin_time >= stop) ++at_or_after_stop;
+  });
+  FlowEngine poi{f.sim, src, {.payload_bytes = 400, .rate_pps = 2000, .poisson = true},
+                 Destination::unicast(3, 8), t0, stop, sim::Rng{99}};
   f.sim.run_for(1_s);
-  EXPECT_GT(poi.sent(), 0u);
+  EXPECT_GT(poi.totals().sent, 0u);
+  EXPECT_EQ(sink.received(), poi.totals().sent);
+  EXPECT_EQ(sink.highest_seq(), poi.totals().sent);
   // Every delivery's origin timestamp must predate the stop boundary.
-  EXPECT_EQ(sink.received(), poi.sent());
-  EXPECT_EQ(sink.highest_seq(), poi.sent());
-  (void)last_send;
+  EXPECT_EQ(at_or_after_stop, 0u);
 }
 
 TEST(TrafficStopBoundary, FlowEngineMatchesTheCbrBoundary) {
@@ -291,7 +282,7 @@ TEST(FlowEngine, SessionFlowAccountingKnobDropsThePerFlowMap) {
   EXPECT_TRUE(fx.overlay->node(3).session_flows().empty());
 }
 
-// ---- Golden equivalence: FlowEngine == per-object senders -------------------
+// ---- Golden equivalence: one-flow engines == one multi-flow engine ----------
 
 struct GoldenResult {
   std::uint64_t sent = 0;
@@ -303,6 +294,25 @@ struct GoldenResult {
   std::uint64_t highest_seq = 0;
   std::uint64_t hash = 1469598103934665603ULL;
 };
+
+// Recorded from run A of each test below when it still drove one
+// CbrSender/PoissonSender object per flow, before those classes were folded
+// into FlowEngine's one-flow constructor.
+constexpr GoldenResult kMixedPopulationGolden{916, 0, 916, 916, 916, 0, 916,
+                                              1554313642479702834ULL};
+constexpr GoldenResult kSharedInstantGolden{100, 0, 100, 100, 100, 0, 100,
+                                            1635213773307317571ULL};
+
+void expect_golden(const GoldenResult& got, const GoldenResult& want) {
+  EXPECT_EQ(got.sent, want.sent);
+  EXPECT_EQ(got.blocked, want.blocked);
+  EXPECT_EQ(got.originated, want.originated);
+  EXPECT_EQ(got.delivered_local, want.delivered_local);
+  EXPECT_EQ(got.received, want.received);
+  EXPECT_EQ(got.duplicates, want.duplicates);
+  EXPECT_EQ(got.highest_seq, want.highest_seq);
+  EXPECT_EQ(got.hash, want.hash);
+}
 
 void mix(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -352,37 +362,22 @@ GoldenResult run_golden(MakeTraffic make_traffic) {
 }
 
 TEST(FlowEngineGolden, EquivalentToPerObjectSendersBitForBit) {
-  // Run A: one heap object + one timer per flow (the legacy model).
+  // Run A: one engine, and so one heap object and one timer, per flow.
   const GoldenResult a = run_golden([](Simulator& sim, overlay::ClientEndpoint& src,
                                        TimePoint t0, TimePoint stop) {
-    std::vector<std::unique_ptr<CbrSender>> cbrs;
-    std::vector<std::unique_ptr<PoissonSender>> pois;
+    std::vector<std::unique_ptr<FlowEngine>> engines;
     const sim::Rng base{777};
     std::uint64_t label = 0;
     for (const FlowSpec& fs : kGoldenFlows) {
-      if (fs.poisson) {
-        PoissonSender::Options o;
-        o.dest = Destination::unicast(3, 8);
-        o.rate_pps = fs.rate_pps;
-        o.payload_bytes = 300;
-        o.start = t0 + fs.offset;
-        o.stop = stop;
-        pois.push_back(std::make_unique<PoissonSender>(sim, src, o, base.fork(label)));
-      } else {
-        CbrSender::Options o;
-        o.dest = Destination::unicast(3, 8);
-        o.rate_pps = fs.rate_pps;
-        o.payload_bytes = 300;
-        o.start = t0 + fs.offset;
-        o.stop = stop;
-        cbrs.push_back(std::make_unique<CbrSender>(sim, src, o));
-      }
+      engines.push_back(std::make_unique<FlowEngine>(
+          sim, src,
+          FlowClass{.payload_bytes = 300, .rate_pps = fs.rate_pps, .poisson = fs.poisson},
+          Destination::unicast(3, 8), t0 + fs.offset, stop, base.fork(label)));
       ++label;
     }
     sim.run_until(stop + 2_s);
     std::uint64_t sent = 0, blocked = 0;
-    for (const auto& s : cbrs) sent += s->sent(), blocked += s->blocked();
-    for (const auto& s : pois) sent += s->sent(), blocked += s->blocked();
+    for (const auto& e : engines) sent += e->totals().sent, blocked += e->totals().blocked;
     return std::pair<std::uint64_t, std::uint64_t>{sent, blocked};
   });
 
@@ -391,16 +386,13 @@ TEST(FlowEngineGolden, EquivalentToPerObjectSendersBitForBit) {
                                        TimePoint t0, TimePoint stop) {
     FlowEngineOptions eo;
     for (const FlowSpec& fs : kGoldenFlows) {
-      FlowClass c;
-      c.rate_pps = fs.rate_pps;
-      c.poisson = fs.poisson;
-      c.payload_bytes = 300;
-      eo.classes.push_back(c);
+      eo.classes.push_back(
+          {.payload_bytes = 300, .rate_pps = fs.rate_pps, .poisson = fs.poisson});
     }
     eo.dests = {Destination::unicast(3, 8)};
     eo.start = t0;
     eo.stop = stop;
-    eo.legacy_identity = true;  // endpoint-held flow identity, like the objects
+    eo.legacy_identity = true;  // endpoint-held flow identity, like run A
     FlowEngine eng{sim, src, eo, sim::Rng{1}};
     const sim::Rng base{777};
     std::uint64_t label = 0;
@@ -413,42 +405,28 @@ TEST(FlowEngineGolden, EquivalentToPerObjectSendersBitForBit) {
     return std::pair<std::uint64_t, std::uint64_t>{eng.totals().sent, eng.totals().blocked};
   });
 
-  EXPECT_GT(a.sent, 500u);  // the scenario generates real traffic
-  EXPECT_EQ(b.sent, a.sent);
-  EXPECT_EQ(b.blocked, a.blocked);
-  EXPECT_EQ(b.originated, a.originated);
-  EXPECT_EQ(b.delivered_local, a.delivered_local);
-  EXPECT_EQ(b.received, a.received);
-  EXPECT_EQ(b.duplicates, a.duplicates);
-  EXPECT_EQ(b.highest_seq, a.highest_seq);
-  EXPECT_EQ(b.hash, a.hash);
+  expect_golden(a, kMixedPopulationGolden);
+  expect_golden(b, kMixedPopulationGolden);
 }
 
 TEST(FlowEngineGolden, SharedInstantOrderingMatchesTheEventQueue) {
   // Two CBR flows with the SAME rate and SAME start collide at every tick.
-  // The per-object run breaks the tie by event-queue order; the engine must
+  // Two one-flow engines break the tie by event-queue order; one engine must
   // reproduce it with its scheduling-order stamps — the delivery hash covers
   // origin_id allocation order, which exposes any swap.
-  const GoldenResult a = run_golden([](Simulator& sim, overlay::ClientEndpoint& src,
-                                       TimePoint t0, TimePoint stop) {
-    CbrSender::Options o;
-    o.dest = Destination::unicast(3, 8);
-    o.rate_pps = 500;
-    o.payload_bytes = 300;
-    o.start = t0 + Duration::microseconds(173);
-    o.stop = t0 + 100_ms;
-    CbrSender first{sim, src, o};
-    CbrSender second{sim, src, o};
+  const FlowClass c{.payload_bytes = 300, .rate_pps = 500};
+  const GoldenResult a = run_golden([&c](Simulator& sim, overlay::ClientEndpoint& src,
+                                         TimePoint t0, TimePoint stop) {
+    const TimePoint first = t0 + Duration::microseconds(173);
+    FlowEngine one{sim, src, c, Destination::unicast(3, 8), first, t0 + 100_ms};
+    FlowEngine two{sim, src, c, Destination::unicast(3, 8), first, t0 + 100_ms};
     sim.run_until(stop + 1_s);
-    return std::pair<std::uint64_t, std::uint64_t>{first.sent() + second.sent(),
-                                                   first.blocked() + second.blocked()};
+    return std::pair<std::uint64_t, std::uint64_t>{one.totals().sent + two.totals().sent,
+                                                   one.totals().blocked + two.totals().blocked};
   });
-  const GoldenResult b = run_golden([](Simulator& sim, overlay::ClientEndpoint& src,
-                                       TimePoint t0, TimePoint stop) {
+  const GoldenResult b = run_golden([&c](Simulator& sim, overlay::ClientEndpoint& src,
+                                         TimePoint t0, TimePoint stop) {
     FlowEngineOptions eo;
-    FlowClass c;
-    c.rate_pps = 500;
-    c.payload_bytes = 300;
     eo.classes = {c};
     eo.dests = {Destination::unicast(3, 8)};
     eo.start = t0;
@@ -461,11 +439,39 @@ TEST(FlowEngineGolden, SharedInstantOrderingMatchesTheEventQueue) {
     sim.run_until(stop + 1_s);
     return std::pair<std::uint64_t, std::uint64_t>{eng.totals().sent, eng.totals().blocked};
   });
-  EXPECT_EQ(a.sent, 100u);  // 50 ticks each
-  EXPECT_EQ(b.sent, a.sent);
-  EXPECT_EQ(b.highest_seq, a.highest_seq);
-  EXPECT_EQ(b.hash, a.hash);
+  expect_golden(a, kSharedInstantGolden);  // 50 ticks each
+  expect_golden(b, kSharedInstantGolden);
 }
+
+// ---- Index-width checks -------------------------------------------------------
+
+// A bare, never-started node: no hellos, no floods — the only events in its
+// simulator are the engine's own.
+struct BareEndpoint {
+  Simulator sim;
+  net::Internet internet{sim, sim::Rng{5}};
+  overlay::OverlayNode node{sim, internet, internet.add_host("probe"), 0, topo::Graph{1}, {},
+                            overlay::NodeConfig{}, sim::Rng{6}};
+  overlay::ClientEndpoint& src = node.connect(1);
+};
+
+#if SON_DCHECK_ENABLED
+TEST(FlowEngineDeathTest, MoreThan256ClassesAbort) {
+  BareEndpoint b;
+  FlowEngineOptions eo;
+  eo.classes.resize(257);
+  eo.dests = {Destination::unicast(0, 2)};
+  EXPECT_DEATH(FlowEngine(b.sim, b.src, eo, sim::Rng{1}), "256 flow classes");
+}
+
+TEST(FlowEngineDeathTest, MoreThan65536DestinationsAbort) {
+  BareEndpoint b;
+  FlowEngineOptions eo;
+  eo.classes = {FlowClass{}};
+  eo.dests.assign(65537, Destination::unicast(0, 2));
+  EXPECT_DEATH(FlowEngine(b.sim, b.src, eo, sim::Rng{1}), "65536 destinations");
+}
+#endif
 
 // ---- Zero-allocation steady state -------------------------------------------
 
@@ -475,15 +481,9 @@ bool count_only_hook(void* ctx, std::size_t, const Destination&, TimePoint) {
 }
 
 TEST(FlowEngineAlloc, SteadyStateTickingDoesNotTouchTheHeap) {
-  // A bare, never-started node: no hellos, no floods — the only events in
-  // this simulator are the engine's own wheel wake-ups, and the send hook
+  // The only events are the engine's own wheel wake-ups, and the send hook
   // bypasses the (allocating) overlay datapath.
-  Simulator sim;
-  net::Internet internet{sim, sim::Rng{5}};
-  const net::HostId h = internet.add_host("probe");
-  overlay::OverlayNode node{sim, internet, h, 0, topo::Graph{1}, {}, overlay::NodeConfig{},
-                            sim::Rng{6}};
-  auto& src = node.connect(1);
+  BareEndpoint b;
 
   FlowEngineOptions eo;
   FlowClass cbr;
@@ -498,7 +498,7 @@ TEST(FlowEngineAlloc, SteadyStateTickingDoesNotTouchTheHeap) {
   eo.bucket_width = 1_ms;
   eo.buckets = 64;  // small wheel: many revolutions + overflow redistribution
   eo.capacity_headroom = 4096;  // explicit population: reserve for all 2000 rows
-  FlowEngine eng{sim, src, eo, sim::Rng{1}};
+  FlowEngine eng{b.sim, b.src, eo, sim::Rng{1}};
   std::uint64_t fired = 0;
   eng.set_send_hook(&count_only_hook, &fired);
   const sim::Rng base{31337};
@@ -510,10 +510,10 @@ TEST(FlowEngineAlloc, SteadyStateTickingDoesNotTouchTheHeap) {
 
   // Warm up well past one wheel revolution so every table, bucket and the
   // event queue's slot pool have seen their high-water marks.
-  sim.run_for(5_s);
+  b.sim.run_for(5_s);
   const std::uint64_t fired_before = fired;
   const std::uint64_t allocs_before = sim::alloc_count();
-  sim.run_for(5_s);
+  b.sim.run_for(5_s);
   const std::uint64_t allocs_after = sim::alloc_count();
   EXPECT_GT(fired - fired_before, 500'000u);  // ~300k pps for 5 s of sim time
   EXPECT_EQ(allocs_after - allocs_before, 0u)

@@ -1,6 +1,7 @@
 // Tests for the packet-interception tunnel gateway and the traffic helpers.
 #include <gtest/gtest.h>
 
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "client/tunnel.hpp"
 #include "overlay/network.hpp"
@@ -164,11 +165,10 @@ TEST(Traffic, CbrSenderStopsAtStopTime) {
                                          sim::Rng{22});
   fx.overlay->settle(3_s);
   auto& src = fx.overlay->node(0).connect(1);
-  CbrSender sender{sim, src,
-                   {overlay::Destination::unicast(3, 2), overlay::ServiceSpec{}, 100, 50,
-                    sim.now(), sim.now() + 1_s}};
+  FlowEngine sender{sim, src, {.payload_bytes = 50, .rate_pps = 100},
+                    overlay::Destination::unicast(3, 2), sim.now(), sim.now() + 1_s};
   sim.run_for(5_s);
-  EXPECT_EQ(sender.sent(), 100u);
+  EXPECT_EQ(sender.totals().sent, 100u);
 }
 
 TEST(Traffic, PoissonSenderApproximatesRate) {
@@ -178,13 +178,10 @@ TEST(Traffic, PoissonSenderApproximatesRate) {
                                          sim::Rng{23});
   fx.overlay->settle(3_s);
   auto& src = fx.overlay->node(0).connect(1);
-  PoissonSender sender{sim,
-                       src,
-                       {overlay::Destination::unicast(3, 2), overlay::ServiceSpec{}, 200,
-                        50, sim.now(), sim.now() + 20_s},
-                       sim::Rng{24}};
+  FlowEngine sender{sim, src, {.payload_bytes = 50, .rate_pps = 200, .poisson = true},
+                    overlay::Destination::unicast(3, 2), sim.now(), sim.now() + 20_s, sim::Rng{24}};
   sim.run_for(25_s);
-  EXPECT_NEAR(static_cast<double>(sender.sent()), 4000.0, 250.0);
+  EXPECT_NEAR(static_cast<double>(sender.totals().sent), 4000.0, 250.0);
 }
 
 TEST(Traffic, MeasuringSinkCountsDuplicatesSeparately) {

@@ -4,6 +4,7 @@
 // congestion it did not cause.
 #include <gtest/gtest.h>
 
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "net/cross_traffic.hpp"
 #include "overlay/network.hpp"
@@ -111,9 +112,8 @@ TEST(CongestionReroute, OverlayRoutesAroundContendedLink) {
     if (m.hdr.origin_time >= TimePoint::zero() + 12_s) ++received_late_phase;
   });
   overlay::ServiceSpec spec;  // best effort: only routing protects it
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(1, 2), spec, 500, 400,
-                            sim.now(), sim.now() + 27_s}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 400, .rate_pps = 500},
+                            overlay::Destination::unicast(1, 2), sim.now(), sim.now() + 27_s};
 
   // Background flood on the direct fiber from t=5s to t=30s.
   net::CrossTraffic::Options xopts;
@@ -185,9 +185,8 @@ TEST(CongestionReroute, QueueInflationAloneAlsoTriggersReroute) {
     if (m.hdr.origin_time >= TimePoint::zero() + 12_s) ++received_late_phase;
   });
   overlay::ServiceSpec spec;
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(1, 2), spec, 500, 400,
-                            sim.now(), sim.now() + 27_s}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 400, .rate_pps = 500},
+                            overlay::Destination::unicast(1, 2), sim.now(), sim.now() + 27_s};
   net::CrossTraffic::Options xopts;
   xopts.link = direct;
   xopts.from = r0;

@@ -2,6 +2,7 @@
 // protocol corner cases.
 #include <gtest/gtest.h>
 
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "net/internet.hpp"
 #include "overlay/network.hpp"
@@ -149,11 +150,10 @@ TEST(RealtimeEdge, DeadlineShorterThanRttStillDeliversDirectPackets) {
   overlay::ServiceSpec spec;
   spec.link_protocol = overlay::LinkProtocol::kRealtimeNM;
   spec.deadline = 15_ms;
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(1, 2), spec, 500, 300,
-                            sim.now(), sim.now() + 5_s}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 300, .rate_pps = 500},
+                            overlay::Destination::unicast(1, 2), sim.now(), sim.now() + 5_s};
   sim.run_for(8_s);
-  const double ratio = sink.delivery_ratio(sender.sent());
+  const double ratio = sink.delivery_ratio(sender.totals().sent);
   EXPECT_GT(ratio, 0.85);  // ~the clean fraction
   // Nothing usefully late: everything delivered arrived near the one-way.
   EXPECT_LT(sink.latencies_ms().quantile(0.999), 45.0);

@@ -2,6 +2,7 @@
 // asymmetric provider backbones, loopback delivery, and the global map.
 #include <gtest/gtest.h>
 
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
 #include "overlay/reliable_link.hpp"
@@ -29,16 +30,15 @@ TEST(GroupChurn, LateJoinerStartsReceiving) {
   sim.run_for(2_s);
 
   auto& src = fx.overlay->node(0).connect(9);
-  client::CbrSender sender{sim, src,
-                           {Destination::multicast(kG), ServiceSpec{}, 100, 100,
-                            sim.now(), sim.now() + 10_s}};
+  client::FlowEngine sender{sim, src, {.payload_bytes = 100, .rate_pps = 100},
+                            Destination::multicast(kG), sim.now(), sim.now() + 10_s};
   sim.schedule(4_s, [&]() { late.join(kG); });
   sim.run_for(12_s);
 
-  EXPECT_GT(s_early.delivery_ratio(sender.sent()), 0.99);
+  EXPECT_GT(s_early.delivery_ratio(sender.totals().sent), 0.99);
   // The late joiner gets roughly the last 60% of the stream (joined at 4 of
   // 10 s, minus a flood-propagation beat).
-  const double late_ratio = s_late.delivery_ratio(sender.sent());
+  const double late_ratio = s_late.delivery_ratio(sender.totals().sent);
   EXPECT_GT(late_ratio, 0.5);
   EXPECT_LT(late_ratio, 0.7);
 }
@@ -58,14 +58,13 @@ TEST(GroupChurn, LeaverStopsReceivingAndTreePrunes) {
   sim.run_for(2_s);
 
   auto& src = fx.overlay->node(0).connect(9);
-  client::CbrSender sender{sim, src,
-                           {Destination::multicast(kG), ServiceSpec{}, 100, 100,
-                            sim.now(), sim.now() + 10_s}};
+  client::FlowEngine sender{sim, src, {.payload_bytes = 100, .rate_pps = 100},
+                            Destination::multicast(kG), sim.now(), sim.now() + 10_s};
   sim.schedule(4_s, [&]() { leave.leave(kG); });
   sim.run_for(12_s);
 
-  EXPECT_GT(s_stay.delivery_ratio(sender.sent()), 0.99);
-  const double leave_ratio = s_leave.delivery_ratio(sender.sent());
+  EXPECT_GT(s_stay.delivery_ratio(sender.totals().sent), 0.99);
+  const double leave_ratio = s_leave.delivery_ratio(sender.totals().sent);
   EXPECT_GT(leave_ratio, 0.3);
   EXPECT_LT(leave_ratio, 0.5);
   // After the leave propagates, node 4 is no longer a member anywhere.

@@ -2,6 +2,7 @@
 // transformers, parallel overlays, and the socket-style client API.
 #include <gtest/gtest.h>
 
+#include "client/flow_engine.hpp"
 #include "client/socket.hpp"
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
@@ -40,9 +41,8 @@ TEST(Crash, TrafficReroutesAroundCrashedNode) {
   auto& src = fx.overlay->node(0).connect(10);
   auto& dst = fx.overlay->node(4).connect(11);
   client::MeasuringSink sink{dst};
-  client::CbrSender sender{sim, src,
-                           {Destination::unicast(4, 11), ServiceSpec{}, 200, 200,
-                            sim.now(), sim.now() + 10_s}};
+  client::FlowEngine sender{sim, src, {.payload_bytes = 200, .rate_pps = 200},
+                            Destination::unicast(4, 11), sim.now(), sim.now() + 10_s};
   // Crash whatever node is currently the first hop's far end at t+2s.
   sim.schedule(2_s, [&]() {
     const LinkBit nh = fx.overlay->node(0).router().next_hop(4);
@@ -51,7 +51,7 @@ TEST(Crash, TrafficReroutesAroundCrashedNode) {
   });
   sim.run_for(12_s);
   // Sub-second outage out of 10 s at 200/s: lose at most ~200 messages.
-  EXPECT_GT(sink.delivery_ratio(sender.sent()), 0.90);
+  EXPECT_GT(sink.delivery_ratio(sender.totals().sent), 0.90);
 }
 
 TEST(Crash, RecoveryRestoresLinks) {
@@ -257,15 +257,14 @@ TEST(Transform, AnycastFacilityFailover) {
   net.settle(3_s);
 
   auto& src = net.node(0).connect(99);
-  client::CbrSender sender{sim, src,
-                           {Destination::anycast(kFacilities), ServiceSpec{}, 100, 100,
-                            sim.now(), sim.now() + 10_s}};
+  client::FlowEngine sender{sim, src, {.payload_bytes = 100, .rate_pps = 100},
+                            Destination::anycast(kFacilities), sim.now(), sim.now() + 10_s};
   sim.schedule(4_s, [&]() { net.node(1).set_crashed(true); });
   sim.run_for(12_s);
 
   EXPECT_GT(near_facility.stats().consumed, 100u);  // served the first 4 s
   EXPECT_GT(far_facility.stats().consumed, 400u);   // took over after crash
-  EXPECT_GT(sink.delivery_ratio(sender.sent()), 0.90);
+  EXPECT_GT(sink.delivery_ratio(sender.totals().sent), 0.90);
 }
 
 // ---- Parallel overlays -------------------------------------------------------------

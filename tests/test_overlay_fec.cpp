@@ -1,6 +1,7 @@
 // Tests for the XOR-parity FEC extension protocol.
 #include <gtest/gtest.h>
 
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "fake_link.hpp"
 #include "overlay/fec.hpp"
@@ -162,11 +163,10 @@ TEST(Fec, EndToEndThroughOverlayNodes) {
   spec.scheme = RouteScheme::kDissemination;
   spec.custom_mask = fx.chain_mask();
   spec.link_protocol = LinkProtocol::kFec;
-  client::CbrSender sender{sim, src,
-                           {Destination::unicast(2, 2), spec, 500, 600, sim.now(),
-                            sim.now() + 10_s}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 600, .rate_pps = 500},
+                            Destination::unicast(2, 2), sim.now(), sim.now() + 10_s};
   sim.run_for(12_s);
-  EXPECT_GT(sink.delivery_ratio(sender.sent()), 0.99);
+  EXPECT_GT(sink.delivery_ratio(sender.totals().sent), 0.99);
   EXPECT_EQ(sink.duplicates(), 0u);
   // FEC adds no FEEDBACK latency: reconstruction waits only for the rest of
   // the group + parity (a few ms at 500 pkt/s), never a retransmission RTT.

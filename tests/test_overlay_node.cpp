@@ -1,6 +1,7 @@
 // Integration tests: whole overlay networks over a simulated underlay.
 #include <gtest/gtest.h>
 
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "net/failures.hpp"
 #include "overlay/network.hpp"
@@ -108,12 +109,11 @@ TEST(NodeChain, ReliableHopByHopRecoversAllUnderLoss) {
   spec.link_protocol = LinkProtocol::kReliable;
   spec.ordered = true;
 
-  client::CbrSender sender{sim, src,
-                           {Destination::unicast(5, 200), spec, 500, 800,
-                            sim.now(), sim.now() + 10_s}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 800, .rate_pps = 500},
+                            Destination::unicast(5, 200), sim.now(), sim.now() + 10_s};
   sim.run_for(15_s);
-  EXPECT_EQ(sink.received(), sender.sent());
-  EXPECT_GT(sender.sent(), 4000u);
+  EXPECT_EQ(sink.received(), sender.totals().sent);
+  EXPECT_GT(sender.totals().sent, 4000u);
 }
 
 TEST(NodeChain, MulticastReachesAllJoinedClients) {
@@ -206,11 +206,10 @@ TEST(NodeChain, OrderedDeliveryViaReorderBuffer) {
   spec.custom_mask = fx.chain_mask();
   spec.link_protocol = LinkProtocol::kReliable;
   spec.ordered = true;
-  client::CbrSender sender{sim, src,
-                           {Destination::unicast(3, 200), spec, 1000, 300,
-                            sim.now(), sim.now() + 5_s}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 300, .rate_pps = 1000},
+                            Destination::unicast(3, 200), sim.now(), sim.now() + 5_s};
   sim.run_for(10_s);
-  ASSERT_EQ(seqs.size(), sender.sent());
+  ASSERT_EQ(seqs.size(), sender.totals().sent);
   for (std::size_t i = 0; i < seqs.size(); ++i) EXPECT_EQ(seqs[i], i + 1);
 }
 
@@ -292,9 +291,8 @@ TEST(UsOverlay, SubSecondRecoveryAfterBothIspsCut) {
   auto& dst = f.overlay->node(1).connect(50);   // WDC
   client::MeasuringSink sink{dst};
   ServiceSpec spec;
-  client::CbrSender sender{f.sim, src,
-                           {Destination::unicast(1, 50), spec, 1000, 400,
-                            f.sim.now(), f.sim.now() + 10_s}};
+  client::FlowEngine sender{f.sim, src, {.spec = spec, .payload_bytes = 400, .rate_pps = 1000},
+                            Destination::unicast(1, 50), f.sim.now(), f.sim.now() + 10_s};
 
   const auto edge = f.overlay->designed_topology().find_edge(0, 1);
   const TimePoint cut_at = f.sim.now() + 2_s;
@@ -308,8 +306,8 @@ TEST(UsOverlay, SubSecondRecoveryAfterBothIspsCut) {
   std::vector<double> arrivals;  // via latency + seq reconstruction is
   // complex; instead measure delivery count: with 1000 pps for 10 s minus a
   // sub-second outage, ≥ ~9.3k of 10k messages must arrive.
-  EXPECT_GT(sender.sent(), 9900u);
-  EXPECT_GT(sink.delivery_ratio(sender.sent()), 0.93);
+  EXPECT_GT(sender.totals().sent, 9900u);
+  EXPECT_GT(sink.delivery_ratio(sender.totals().sent), 0.93);
   // And the overlay must now route NYC->WDC via a detour (cost > direct).
   EXPECT_EQ(f.overlay->node(0).router().next_hop(1) == static_cast<LinkBit>(edge), false);
 }

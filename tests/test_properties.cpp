@@ -2,6 +2,7 @@
 // rates, path lengths, routing schemes and adversary sizes.
 #include <gtest/gtest.h>
 
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "fake_link.hpp"
 #include "overlay/network.hpp"
@@ -50,12 +51,12 @@ TEST_P(ReliableProperty, ExactlyOnceDeliveryAndOrder) {
   spec.custom_mask = fx.chain_mask();
   spec.link_protocol = LinkProtocol::kReliable;
   spec.ordered = true;
-  client::CbrSender sender{sim, src,
-                           {Destination::unicast(static_cast<NodeId>(hops), 2), spec, 400,
-                            300, sim.now(), sim.now() + 5_s}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 300, .rate_pps = 400},
+                            Destination::unicast(static_cast<NodeId>(hops), 2), sim.now(),
+                            sim.now() + 5_s};
   sim.run_for(30_s);
 
-  ASSERT_EQ(seqs.size(), sender.sent());
+  ASSERT_EQ(seqs.size(), sender.totals().sent);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     ASSERT_EQ(seqs[i], i + 1) << "order violated at " << i;
   }
@@ -117,13 +118,12 @@ TEST_P(RealtimeProperty, NoDuplicatesAndDeadlinesRespected) {
   spec.deadline = 150_ms;
   spec.nm_requests = n_req;
   spec.nm_retransmissions = m_ret;
-  client::CbrSender sender{sim, src,
-                           {Destination::unicast(3, 2), spec, 500, 300, sim.now(),
-                            sim.now() + 10_s}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 300, .rate_pps = 500},
+                            Destination::unicast(3, 2), sim.now(), sim.now() + 10_s};
   sim.run_for(15_s);
 
   EXPECT_EQ(dups, 0u);
-  EXPECT_GT(sender.sent(), 4000u);
+  EXPECT_GT(sender.totals().sent, 4000u);
   // Recovery is abandoned once the budget is spent: nothing arrives
   // grotesquely late (one per-hop recovery round of slack allowed).
   EXPECT_LT(worst_ms, 150.0 + 50.0);
@@ -131,7 +131,7 @@ TEST_P(RealtimeProperty, NoDuplicatesAndDeadlinesRespected) {
   // retransmission (M=1) cannot escape every 80%-loss burst; the multi-
   // strike configurations must do strictly better.
   const double min_delivery = (m_ret == 1) ? 0.90 : 0.97;
-  EXPECT_GT(static_cast<double>(seen.size()) / static_cast<double>(sender.sent()),
+  EXPECT_GT(static_cast<double>(seen.size()) / static_cast<double>(sender.totals().sent),
             min_delivery);
 }
 
@@ -266,17 +266,17 @@ TEST_P(FairnessProperty, CorrectSourceKeepsGoodputUnderAnyFloodRate) {
 
   ServiceSpec spec;
   spec.link_protocol = LinkProtocol::kITPriority;
-  std::vector<std::unique_ptr<client::CbrSender>> senders;
+  std::vector<std::unique_ptr<client::FlowEngine>> senders;
   for (NodeId s = 0; s < 2; ++s) {
-    senders.push_back(std::make_unique<client::CbrSender>(
+    senders.push_back(std::make_unique<client::FlowEngine>(
         sim, fx.overlay->node(s).connect(10),
-        client::CbrSender::Options{Destination::unicast(4, 50), spec, 100, 300, sim.now(),
-                                   sim.now() + 10_s}));
+        client::FlowClass{.spec = spec, .payload_bytes = 300, .rate_pps = 100},
+        Destination::unicast(4, 50), sim.now(), sim.now() + 10_s));
   }
-  senders.push_back(std::make_unique<client::CbrSender>(
+  senders.push_back(std::make_unique<client::FlowEngine>(
       sim, fx.overlay->node(2).connect(10),
-      client::CbrSender::Options{Destination::unicast(4, 50), spec, attack_rate, 300,
-                                 sim.now(), sim.now() + 10_s}));
+      client::FlowClass{.spec = spec, .payload_bytes = 300, .rate_pps = attack_rate},
+      Destination::unicast(4, 50), sim.now(), sim.now() + 10_s));
   sim.run_for(12_s);
 
   // The egress carries 400/s; fair share for 3 active sources is ~133/s, so

@@ -2,6 +2,7 @@
 // determinism of whole-overlay runs.
 #include <gtest/gtest.h>
 
+#include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "overlay/network.hpp"
 
@@ -31,11 +32,10 @@ TEST(Congestion, OfferedLoadAboveCapacitySheds) {
   auto& dst = fx.overlay->node(1).connect(2);
   client::MeasuringSink sink{dst};
   overlay::ServiceSpec spec;  // best effort
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(1, 2), spec, 800, 1250,
-                            sim.now(), sim.now() + 10_s}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 1250, .rate_pps = 800},
+                            overlay::Destination::unicast(1, 2), sim.now(), sim.now() + 10_s};
   sim.run_for(12_s);
-  const double ratio = sink.delivery_ratio(sender.sent());
+  const double ratio = sink.delivery_ratio(sender.totals().sent);
   EXPECT_GT(ratio, 0.35);
   EXPECT_LT(ratio, 0.65);
   // Queueing delay shows up in the latency tail, bounded by max_queue_delay
@@ -61,19 +61,17 @@ TEST(Congestion, TwoFlowsShareBottleneckRoughlyEqually) {
   overlay::ServiceSpec spec;
   // Poisson arrivals: synchronized CBR flows phase-lock at a saturated
   // tail-drop bottleneck; random arrivals expose the statistical sharing.
-  client::PoissonSender f1{sim,
-                           c1,
-                           {overlay::Destination::unicast(1, 11), spec, 400, 1250,
-                            sim.now(), sim.now() + 10_s},
-                           sim::Rng{91}};
-  client::PoissonSender f2{sim,
-                           c2,
-                           {overlay::Destination::unicast(1, 12), spec, 400, 1250,
-                            sim.now(), sim.now() + 10_s},
-                           sim::Rng{92}};
+  client::FlowEngine f1{sim, c1,
+                        {.spec = spec, .payload_bytes = 1250, .rate_pps = 400, .poisson = true},
+                        overlay::Destination::unicast(1, 11), sim.now(), sim.now() + 10_s,
+                        sim::Rng{91}};
+  client::FlowEngine f2{sim, c2,
+                        {.spec = spec, .payload_bytes = 1250, .rate_pps = 400, .poisson = true},
+                        overlay::Destination::unicast(1, 12), sim.now(), sim.now() + 10_s,
+                        sim::Rng{92}};
   sim.run_for(12_s);
-  const double r1 = s1.delivery_ratio(f1.sent());
-  const double r2 = s2.delivery_ratio(f2.sent());
+  const double r1 = s1.delivery_ratio(f1.totals().sent);
+  const double r2 = s2.delivery_ratio(f2.totals().sent);
   EXPECT_NEAR(r1, r2, 0.10);  // equal offered load -> similar shares
 }
 
@@ -97,9 +95,8 @@ TEST(Chaos, RandomFailuresNeverWedgeTheOverlay) {
   client::MeasuringSink sink{dst};
   overlay::ServiceSpec spec;
   spec.link_protocol = overlay::LinkProtocol::kReliable;
-  client::CbrSender sender{sim, src,
-                           {overlay::Destination::unicast(9, 2), spec, 200, 400,
-                            sim.now(), sim.now() + 60_s}};
+  client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 400, .rate_pps = 200},
+                            overlay::Destination::unicast(9, 2), sim.now(), sim.now() + 60_s};
 
   sim::Rng chaos{7};
   for (int ev = 0; ev < 40; ++ev) {
@@ -127,7 +124,7 @@ TEST(Chaos, RandomFailuresNeverWedgeTheOverlay) {
   sim.run_for(70_s);
 
   EXPECT_EQ(sink.duplicates(), 0u);
-  EXPECT_GT(sink.delivery_ratio(sender.sent()), 0.85);
+  EXPECT_GT(sink.delivery_ratio(sender.totals().sent), 0.85);
 
   // After the storm: the overlay is healthy again end-to-end.
   auto& probe_dst = net.node(9).connect(3);
@@ -161,9 +158,8 @@ TEST(Determinism, IdenticalSeedsIdenticalRuns) {
     inet.link_dir(u.links_a[1], a).set_loss_model(net::make_bernoulli(0.05));
     overlay::ServiceSpec spec;
     spec.link_protocol = overlay::LinkProtocol::kReliable;
-    client::CbrSender sender{sim, src,
-                             {overlay::Destination::unicast(9, 2), spec, 500, 700,
-                              sim.now(), sim.now() + 5_s}};
+    client::FlowEngine sender{sim, src, {.spec = spec, .payload_bytes = 700, .rate_pps = 500},
+                              overlay::Destination::unicast(9, 2), sim.now(), sim.now() + 5_s};
     sim.run_for(8_s);
     return arrival_ns;
   };
