@@ -117,7 +117,7 @@ exp::Metrics run_hello(std::int64_t hello_ms, Duration traffic_time, std::uint64
   const auto u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
   cfg.hello_interval = Duration::milliseconds(hello_ms);
-  overlay::OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{seed + 1}};
+  overlay::OverlayNetwork net{inet, u.overlay, u.hosts, cfg, sim::Rng{seed + 1}};
   net.settle(3_s);
 
   auto& src = net.node(0).connect(49);

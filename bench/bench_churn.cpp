@@ -255,7 +255,7 @@ exp::Metrics run_sharded_churn(unsigned workers, Duration window, std::uint64_t 
     });
   }
 
-  fx.settle(3_s);
+  fx.overlay->settle(3_s);
   const TimePoint t0 = fx.kernel->now();
 
   struct Flow {

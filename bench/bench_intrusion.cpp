@@ -148,7 +148,7 @@ exp::Metrics run_fairness(bool fair, Duration traffic_time, std::uint64_t seed) 
   cfg.authenticate = fair;
   cfg.link_protocols.it_egress_msgs_per_sec = 1000;
   cfg.link_protocols.it_buffer_per_source = 32;
-  overlay::OverlayNetwork net{sim, inet, g, hosts, cfg, rng.fork(2)};
+  overlay::OverlayNetwork net{inet, g, hosts, cfg, rng.fork(2)};
   net.settle(2_s);
 
   overlay::ServiceSpec spec;

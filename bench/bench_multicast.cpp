@@ -35,7 +35,7 @@ exp::Metrics run(int receivers, bool use_multicast, int messages, std::uint64_t 
   const auto map = topo::continental_us();
   const auto u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
-  overlay::OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{seed + 1}};
+  overlay::OverlayNetwork net{inet, u.overlay, u.hosts, cfg, sim::Rng{seed + 1}};
 
   // Receiver clients round-robin over the 11 non-source sites; several
   // clients may share a site (the two-level hierarchy absorbs them: the
@@ -86,7 +86,7 @@ exp::Metrics run_anycast(std::uint64_t seed) {
   const auto map = topo::continental_us();
   const auto u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
-  overlay::OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{seed + 1}};
+  overlay::OverlayNetwork net{inet, u.overlay, u.hosts, cfg, sim::Rng{seed + 1}};
   std::uint64_t wdc = 0, lax = 0;
   auto& near_ep = net.node(1).connect(40);  // WDC, near NYC
   near_ep.join(2000);

@@ -39,7 +39,8 @@ struct HotPathFixture {
     u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
     overlay::NodeConfig cfg;
     cfg.authenticate = authenticate;
-    net = std::make_unique<overlay::OverlayNetwork>(sim, inet, map, u, cfg, sim::Rng{2});
+    net = std::make_unique<overlay::OverlayNetwork>(inet, u.overlay, u.hosts, cfg,
+                                                    sim::Rng{2});
     net->settle(3_s);
   }
 

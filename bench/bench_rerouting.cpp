@@ -100,7 +100,7 @@ exp::Metrics run_overlay(bool cut_both_isps, Duration run_for, std::uint64_t see
   const auto map = topo::continental_us();
   const auto u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
-  overlay::OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{seed + 1}};
+  overlay::OverlayNetwork net{inet, u.overlay, u.hosts, cfg, sim::Rng{seed + 1}};
   net.settle(3_s);
 
   auto& src = net.node(0).connect(49);   // NYC

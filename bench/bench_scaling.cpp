@@ -126,7 +126,7 @@ exp::Metrics run_sharded(unsigned workers, Duration dur, std::uint64_t seed) {
     });
   }
 
-  fx.settle(1_s);
+  fx.overlay->settle(1_s);
   const TimePoint t0 = fx.kernel->now();
 
   struct Flow {
@@ -240,7 +240,7 @@ exp::Metrics run_flows(std::size_t total_flows, const client::LoadCurve& curve,
     });
   }
 
-  fx.settle(3_s);
+  fx.overlay->settle(3_s);
   const TimePoint t0 = fx.kernel->now();
 
   std::vector<std::unique_ptr<client::FlowEngine>> engines;

@@ -56,14 +56,14 @@ struct Deployment {
     chain.add_edge(0, 1, 10.0);
     chain.add_edge(1, 2, 10.0);
     overlay::NodeConfig cfg_a;
-    overlay_a = std::make_unique<overlay::OverlayNetwork>(sim, *inet, chain, machine_a,
-                                                          cfg_a, sim::Rng{82});
+    overlay_a = std::make_unique<overlay::OverlayNetwork>(*inet, chain, machine_a, cfg_a,
+                                                          sim::Rng{82});
     overlay_a->start();
     if (cluster) {
       overlay::NodeConfig cfg_b;
       cfg_b.daemon_port = 8200;  // second overlay, second machine, same fiber
-      overlay_b = std::make_unique<overlay::OverlayNetwork>(sim, *inet, chain, machine_b,
-                                                            cfg_b, sim::Rng{83});
+      overlay_b = std::make_unique<overlay::OverlayNetwork>(*inet, chain, machine_b, cfg_b,
+                                                            sim::Rng{83});
       overlay_b->start();
     }
     sim.run_for(3_s);

@@ -24,7 +24,7 @@ int main() {
   const auto map = topo::continental_us();
   const auto underlay = topo::build_dual_isp(internet, map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
-  overlay::OverlayNetwork net{sim, internet, map, underlay, cfg, sim::Rng{62}};
+  overlay::OverlayNetwork net{internet, underlay.overlay, underlay.hosts, cfg, sim::Rng{62}};
 
   constexpr overlay::GroupId kMpegFeed = 500;    // broadcast-quality stream
   constexpr overlay::GroupId kTranscode = 501;   // anycast: transcoding facilities

@@ -29,7 +29,7 @@ int main() {
   const auto map = topo::continental_us();
   const auto underlay = topo::build_dual_isp(internet, map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
-  overlay::OverlayNetwork net{sim, internet, map, underlay, cfg, sim::Rng{32}};
+  overlay::OverlayNetwork net{internet, underlay.overlay, underlay.hosts, cfg, sim::Rng{32}};
 
   // Bursty loss on every backbone fiber: short windows of heavy loss, the
   // regime NM-Strikes was designed for.

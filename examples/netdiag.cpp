@@ -41,7 +41,7 @@ int main() {
   designed_map.edges = design->edges;
   const auto underlay = topo::build_dual_isp(internet, designed_map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
-  overlay::OverlayNetwork net{sim, internet, designed_map, underlay, cfg, sim::Rng{78}};
+  overlay::OverlayNetwork net{internet, underlay.overlay, underlay.hosts, cfg, sim::Rng{78}};
   net.settle(5_s);
 
   // 3. Link health as the NYC node measures it.

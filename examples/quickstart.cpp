@@ -21,7 +21,7 @@ int main() {
   // 2. One overlay node per city; hellos, link-state and group state start
   //    flowing on start()/settle().
   overlay::NodeConfig cfg;  // defaults: 100 ms hellos, 3 misses -> down
-  overlay::OverlayNetwork net{sim, internet, map, underlay, cfg, sim::Rng{7}};
+  overlay::OverlayNetwork net{internet, underlay.overlay, underlay.hosts, cfg, sim::Rng{7}};
   net.settle(3_s);
   std::printf("overlay up: %zu nodes, %zu links\n", net.size(),
               net.designed_topology().num_edges());

@@ -20,7 +20,7 @@ int main() {
   const auto map = topo::continental_us();
   const auto underlay = topo::build_dual_isp(internet, map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
-  overlay::OverlayNetwork net{sim, internet, map, underlay, cfg, sim::Rng{12}};
+  overlay::OverlayNetwork net{internet, underlay.overlay, underlay.hosts, cfg, sim::Rng{12}};
 
   constexpr overlay::GroupId kChannel = 7;
   const std::vector<std::pair<overlay::NodeId, const char*>> affiliates{

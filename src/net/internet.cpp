@@ -52,7 +52,7 @@ RouterId Internet::add_router(IspId isp, std::string name) {
 
 LinkId Internet::add_link(RouterId a, RouterId b, const LinkConfig& cfg) {
   assert(a < routers_.size() && b < routers_.size() && a != b);
-  SON_DCHECK(!sharded(), "topology is frozen once enable_sharding has run");
+  SON_DCHECK(kernel_ == nullptr, "topology is frozen once enable_sharding has run");
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(Link{a, b, true, true,
                         LinkDirection{cfg, rng_.fork(0x11000 + id)},
@@ -71,7 +71,7 @@ HostId Internet::add_host(std::string name) {
 
 AttachIndex Internet::attach_host(HostId host, RouterId router, const LinkConfig& access) {
   assert(host < hosts_.size() && router < routers_.size());
-  SON_DCHECK(!sharded(), "topology is frozen once enable_sharding has run");
+  SON_DCHECK(kernel_ == nullptr, "topology is frozen once enable_sharding has run");
   auto& h = hosts_[host];
   const auto idx = static_cast<AttachIndex>(h.attaches.size());
   h.attaches.push_back(

@@ -99,7 +99,8 @@ class Internet {
   /// smallest crossing-link propagation delay plus the per-hop router
   /// latency — the minimum time any packet needs to cross the cut.
   void enable_sharding(sim::ShardedKernel& kernel, ShardPlan plan);
-  [[nodiscard]] bool sharded() const { return kernel_ != nullptr; }
+  /// The kernel enable_sharding() bound, or nullptr while monolithic.
+  [[nodiscard]] sim::ShardedKernel* kernel() const { return kernel_; }
   [[nodiscard]] std::uint32_t host_partition(HostId h) const { return plan_.host_partition[h]; }
   [[nodiscard]] std::uint32_t router_partition(RouterId r) const {
     return plan_.router_partition[r];

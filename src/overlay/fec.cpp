@@ -17,12 +17,7 @@ bool FecEndpoint::send(Message msg) {
     }
   }
 
-  LinkFrame f;
-  f.link = ctx_.link();
-  f.from = ctx_.self();
-  f.to = ctx_.peer();
-  f.proto = LinkProtocol::kFec;
-  f.type = FrameType::kData;
+  LinkFrame f = frame(FrameType::kData);
   f.seq = seq;
   f.msg = std::move(msg);
   ctx_.send_frame(std::move(f));
@@ -39,12 +34,7 @@ void FecEndpoint::emit_parity() {
   block.sizes = std::move(group_sizes_);
   block.xor_bytes = std::move(group_xor_);
 
-  LinkFrame f;
-  f.link = ctx_.link();
-  f.from = ctx_.self();
-  f.to = ctx_.peer();
-  f.proto = LinkProtocol::kFec;
-  f.type = FrameType::kParity;
+  LinkFrame f = frame(FrameType::kParity);
   f.seq = block.first_seq;
   f.control = std::move(block);
   ctx_.send_frame(std::move(f));

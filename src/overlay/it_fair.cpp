@@ -130,12 +130,7 @@ bool ItPriorityEndpoint::handle_full_queue(Queue& q, Message m) {
 bool ItPriorityEndpoint::send(Message msg) { return enqueue(std::move(msg)); }
 
 void ItPriorityEndpoint::transmit(Message m) {
-  LinkFrame f;
-  f.link = ctx_.link();
-  f.from = ctx_.self();
-  f.to = ctx_.peer();
-  f.proto = LinkProtocol::kITPriority;
-  f.type = FrameType::kData;
+  LinkFrame f = frame(FrameType::kData);
   f.seq = ++stats_.data_sent;
   f.msg = std::move(m);
   sign_frame(f);
@@ -164,12 +159,7 @@ void ItReliableEndpoint::transmit(Message m) {
   const std::uint64_t seq = next_seq_++;
   in_flight_.put(seq, InFlight{m, ctx_.simulator().now()});
 
-  LinkFrame f;
-  f.link = ctx_.link();
-  f.from = ctx_.self();
-  f.to = ctx_.peer();
-  f.proto = LinkProtocol::kITReliable;
-  f.type = FrameType::kData;
+  LinkFrame f = frame(FrameType::kData);
   f.seq = seq;
   f.msg = std::move(m);
   sign_frame(f);
@@ -199,12 +189,7 @@ void ItReliableEndpoint::on_retransmit_timer() {
     if (now - fl.last_sent < rto) continue;
     if (!eligible(key_of(fl.msg))) continue;  // flow backpressured: wait
     fl.last_sent = now;
-    LinkFrame f;
-    f.link = ctx_.link();
-    f.from = ctx_.self();
-    f.to = ctx_.peer();
-    f.proto = LinkProtocol::kITReliable;
-    f.type = FrameType::kRetransmission;
+    LinkFrame f = frame(FrameType::kRetransmission);
     f.seq = seq;
     f.msg = fl.msg;
     sign_frame(f);
@@ -225,30 +210,21 @@ void ItReliableEndpoint::on_frame(const LinkFrame& f) {
       if (!already) {
         admitted = ctx_.deliver_up(*f.msg, f.link);
       }
-      LinkFrame reply;
-      reply.link = ctx_.link();
-      reply.from = ctx_.self();
-      reply.to = ctx_.peer();
-      reply.proto = LinkProtocol::kITReliable;
-      if (admitted) {
-        if (!already) {
-          if (seq == recv_cum_ + 1) {
+      if (admitted && !already) {
+        if (seq == recv_cum_ + 1) {
+          ++recv_cum_;
+          while (!recv_ooo_.empty() && *recv_ooo_.begin() == recv_cum_ + 1) {
+            recv_ooo_.erase(recv_ooo_.begin());
             ++recv_cum_;
-            while (!recv_ooo_.empty() && *recv_ooo_.begin() == recv_cum_ + 1) {
-              recv_ooo_.erase(recv_ooo_.begin());
-              ++recv_cum_;
-            }
-          } else {
-            recv_ooo_.insert(seq);
           }
+        } else {
+          recv_ooo_.insert(seq);
         }
-        reply.type = FrameType::kAck;
-        reply.seq = seq;
-      } else {
-        // Downstream buffer full: refuse, peer pauses this flow and retries.
-        reply.type = FrameType::kBusy;
-        reply.seq = seq;
       }
+      // kBusy when the downstream buffer is full: the peer pauses this flow
+      // and retries.
+      LinkFrame reply = frame(admitted ? FrameType::kAck : FrameType::kBusy);
+      reply.seq = seq;
       ctx_.send_frame(std::move(reply));
       break;
     }

@@ -103,6 +103,17 @@ class LinkProtocolEndpoint {
   [[nodiscard]] virtual LinkProtocol protocol() const = 0;
 
  protected:
+  /// A frame of this protocol to the link's peer, header filled in.
+  [[nodiscard]] LinkFrame frame(FrameType type) const {
+    LinkFrame f;
+    f.link = ctx_.link();
+    f.from = ctx_.self();
+    f.to = ctx_.peer();
+    f.proto = protocol();
+    f.type = type;
+    return f;
+  }
+
   LinkContext& ctx_;
   LinkProtocolConfig cfg_;
 };

@@ -2,15 +2,17 @@
 
 #include <algorithm>
 
-#include "overlay/sharded.hpp"
 #include "sim/shard.hpp"
 
 namespace son::overlay {
 
-void OverlayNetwork::build_nodes(net::Internet& internet, const std::vector<net::HostId>& hosts,
-                                 const NodeConfig& cfg,
-                                 const std::function<sim::Simulator&(NodeId)>& sim_of,
-                                 const std::function<sim::Rng(NodeId)>& rng_of) {
+OverlayNetwork::OverlayNetwork(net::Internet& internet, topo::Graph overlay_topology,
+                               std::vector<net::HostId> hosts, const NodeConfig& cfg,
+                               NodeStreams streams)
+    : internet_{internet}, graph_{std::move(overlay_topology)} {
+  // Link bits index 64-bit masks; a 65th link would shift by 64 (UB).
+  SON_DCHECK(graph_.num_edges() <= kMaxOverlayLinks, "more than 64 overlay links");
+  SON_DCHECK(hosts.size() == graph_.num_nodes(), "need one host per overlay node");
   const std::size_t n = graph_.num_nodes();
   nodes_.reserve(n);
   for (NodeId id = 0; id < n; ++id) {
@@ -28,38 +30,11 @@ void OverlayNetwork::build_nodes(net::Internet& internet, const std::vector<net:
       }
       neighbors.push_back(std::move(spec));
     }
-    nodes_.push_back(std::make_unique<OverlayNode>(sim_of(id), internet, hosts[id], id, graph_,
-                                                   std::move(neighbors), cfg, rng_of(id)));
+    nodes_.push_back(std::make_unique<OverlayNode>(
+        internet, hosts[id], id, graph_, std::move(neighbors), cfg,
+        streams.of(id, internet.host_partition(hosts[id]))));
   }
 }
-
-OverlayNetwork::OverlayNetwork(sim::Simulator& sim, net::Internet& internet,
-                               topo::Graph overlay_topology, std::vector<net::HostId> hosts,
-                               const NodeConfig& cfg, sim::Rng rng)
-    : sim_{sim}, graph_{std::move(overlay_topology)} {
-  build_nodes(internet, hosts, cfg, [&sim](NodeId) -> sim::Simulator& { return sim; },
-              [&rng](NodeId id) { return rng.fork(0x4000 + id); });
-}
-
-OverlayNetwork::OverlayNetwork(sim::ShardedKernel& kernel, net::Internet& internet,
-                               topo::Graph overlay_topology, std::vector<net::HostId> hosts,
-                               const NodeConfig& cfg, std::uint64_t seed)
-    : sim_{kernel.control_sim()}, kernel_{&kernel}, graph_{std::move(overlay_topology)} {
-  build_nodes(internet, hosts, cfg,
-              [&internet, &hosts](NodeId id) -> sim::Simulator& {
-                return internet.host_sim(hosts[id]);
-              },
-              [&internet, &hosts, seed](NodeId id) {
-                return sim::component_stream(seed, internet.host_partition(hosts[id]),
-                                             kStreamNode, id);
-              });
-}
-
-OverlayNetwork::OverlayNetwork(sim::Simulator& sim, net::Internet& internet,
-                               const topo::BackboneMap& map,
-                               const topo::BuiltUnderlay& underlay, const NodeConfig& cfg,
-                               sim::Rng rng)
-    : OverlayNetwork{sim, internet, topo::overlay_graph(map), underlay.hosts, cfg, rng} {}
 
 void OverlayNetwork::start() {
   for (auto& n : nodes_) n->start();
@@ -67,37 +42,69 @@ void OverlayNetwork::start() {
 
 void OverlayNetwork::settle(sim::Duration how_long) {
   start();
-  if (kernel_ != nullptr) {
-    kernel_->run_for(how_long);
+  if (sim::ShardedKernel* kernel = internet_.kernel()) {
+    kernel->run_for(how_long);
   } else {
-    sim_.run_for(how_long);
+    internet_.simulator().run_for(how_long);
   }
 }
+
+namespace {
+
+/// One backbone fiber of a single-ISP fixture, between the routers of
+/// overlay nodes u and v.
+struct Fiber {
+  std::size_t u;
+  std::size_t v;
+  sim::Duration delay;
+};
+
+struct SingleIsp {
+  std::vector<net::HostId> hosts;
+  std::vector<net::LinkId> fibers;
+};
+
+/// The underlay of the research fixtures: one ISP named `isp_name`, one
+/// router per overlay node with that node's host single-homed to it, then one
+/// backbone link per entry of `fibers`, in that order.
+SingleIsp build_single_isp(net::Internet& inet, const char* isp_name, std::size_t n,
+                           sim::Duration access_delay, double bandwidth_bps,
+                           const std::vector<Fiber>& fibers) {
+  SingleIsp out;
+  const net::IspId isp = inet.add_isp(isp_name);
+  std::vector<net::RouterId> routers;
+  net::LinkConfig link;
+  link.bandwidth_bps = bandwidth_bps;
+  link.prop_delay = access_delay;
+  for (std::size_t i = 0; i < n; ++i) {
+    routers.push_back(inet.add_router(isp, "r" + std::to_string(i)));
+    out.hosts.push_back(inet.add_host("h" + std::to_string(i)));
+    inet.attach_host(out.hosts.back(), routers.back(), link);
+  }
+  for (const Fiber& f : fibers) {
+    link.prop_delay = f.delay;
+    out.fibers.push_back(inet.add_link(routers[f.u], routers[f.v], link));
+  }
+  return out;
+}
+
+}  // namespace
 
 GraphFixture build_graph_fixture(sim::Simulator& sim, const topo::Graph& g,
                                  const GraphOptions& opts, sim::Rng rng) {
   GraphFixture fx;
   fx.internet = std::make_unique<net::Internet>(sim, rng.fork(0x88));
-  auto& inet = *fx.internet;
-  const net::IspId isp = inet.add_isp("fixture");
-  std::vector<net::RouterId> routers;
-  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-    routers.push_back(inet.add_router(isp, "r" + std::to_string(i)));
-    fx.hosts.push_back(inet.add_host("h" + std::to_string(i)));
-    net::LinkConfig access;
-    access.prop_delay = sim::Duration::microseconds(50);
-    access.bandwidth_bps = opts.bandwidth_bps;
-    inet.attach_host(fx.hosts.back(), routers.back(), access);
-  }
+  std::vector<Fiber> fibers;
   for (topo::EdgeIndex e = 0; e < g.num_edges(); ++e) {
     const auto& ed = g.edge(e);
-    net::LinkConfig cfg;
-    cfg.prop_delay = sim::Duration::from_millis_f(ed.weight);
-    cfg.bandwidth_bps = opts.bandwidth_bps;
-    fx.fiber.push_back(inet.add_link(routers[ed.u], routers[ed.v], cfg));
+    fibers.push_back(Fiber{ed.u, ed.v, sim::Duration::from_millis_f(ed.weight)});
   }
-  fx.overlay =
-      std::make_unique<OverlayNetwork>(sim, inet, g, fx.hosts, opts.node, rng.fork(0x89));
+  SingleIsp u = build_single_isp(*fx.internet, "fixture", g.num_nodes(),
+                                 sim::Duration::microseconds(50), opts.bandwidth_bps, fibers);
+  fx.hosts = std::move(u.hosts);
+  fx.fiber = std::move(u.fibers);
+  fx.overlay = std::make_unique<OverlayNetwork>(*fx.internet, g, fx.hosts, opts.node,
+                                                rng.fork(0x89));
   return fx;
 }
 
@@ -118,26 +125,12 @@ topo::Graph circulant_topology(std::size_t n, double ring_latency_ms,
 ChainFixture build_chain(sim::Simulator& sim, const ChainOptions& opts, sim::Rng rng) {
   ChainFixture fx;
   fx.internet = std::make_unique<net::Internet>(sim, rng.fork(0x77));
-  auto& inet = *fx.internet;
-
   const std::size_t n = opts.n_nodes;
-  const net::IspId isp = inet.add_isp("chain");
-  std::vector<net::RouterId> routers;
-  std::vector<net::HostId> hosts;
-  for (std::size_t i = 0; i < n; ++i) {
-    routers.push_back(inet.add_router(isp, "r" + std::to_string(i)));
-    hosts.push_back(inet.add_host("h" + std::to_string(i)));
-    net::LinkConfig access;
-    access.prop_delay = sim::Duration::microseconds(10);
-    access.bandwidth_bps = opts.bandwidth_bps;
-    inet.attach_host(hosts[i], routers[i], access);
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    net::LinkConfig cfg;
-    cfg.prop_delay = opts.hop_latency;
-    cfg.bandwidth_bps = opts.bandwidth_bps;
-    fx.hop_links.push_back(inet.add_link(routers[i], routers[i + 1], cfg));
-  }
+  std::vector<Fiber> fibers;
+  for (std::size_t i = 0; i + 1 < n; ++i) fibers.push_back(Fiber{i, i + 1, opts.hop_latency});
+  SingleIsp u = build_single_isp(*fx.internet, "chain", n, sim::Duration::microseconds(10),
+                                 opts.bandwidth_bps, fibers);
+  fx.hop_links = std::move(u.fibers);
 
   topo::Graph g(n);
   for (std::size_t i = 0; i + 1 < n; ++i) {
@@ -151,8 +144,8 @@ ChainFixture build_chain(sim::Simulator& sim, const ChainOptions& opts, sim::Rng
                    opts.hop_latency.to_millis_f() * static_cast<double>(n - 1)));
   }
 
-  fx.overlay = std::make_unique<OverlayNetwork>(sim, inet, std::move(g), hosts, opts.node,
-                                                rng.fork(0x78));
+  fx.overlay = std::make_unique<OverlayNetwork>(*fx.internet, std::move(g), std::move(u.hosts),
+                                                opts.node, rng.fork(0x78));
   return fx;
 }
 

@@ -2,69 +2,81 @@
 // simulated underlay and wire every node's neighbor links and ISP channels.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "net/internet.hpp"
 #include "overlay/node.hpp"
+#include "sim/check.hpp"
 #include "topo/backbones.hpp"
 
-namespace son::sim {
-class ShardedKernel;
-}  // namespace son::sim
-
 namespace son::overlay {
+
+/// Component keys for sim::component_stream — the layout-independent RNG
+/// derivation shared by every sharded deployment.
+inline constexpr std::uint32_t kStreamInternet = 1;
+inline constexpr std::uint32_t kStreamNode = 2;
+inline constexpr std::uint32_t kStreamFlowEngine = 3;
+
+/// Where each overlay node's randomness comes from: one of the two rules the
+/// golden runs pin.
+class NodeStreams {
+ public:
+  /// Fork chain: node i draws from rng.fork(0x4000 + i). Implicit, so a
+  /// plain sim::Rng argument selects this rule.
+  NodeStreams(sim::Rng rng) : rng_{rng} {}  // NOLINT(google-explicit-constructor)
+  /// Component streams: node i draws from sim::component_stream(seed, its
+  /// host's partition, kStreamNode, i), so node randomness is a pure function
+  /// of the partition structure, independent of construction order and
+  /// worker count.
+  [[nodiscard]] static NodeStreams component_streams(std::uint64_t seed) {
+    NodeStreams s{sim::Rng{}};
+    s.seed_ = seed;
+    return s;
+  }
+
+  [[nodiscard]] sim::Rng of(NodeId id, std::uint32_t partition) const {
+    return seed_ ? sim::component_stream(*seed_, partition, kStreamNode, id)
+                 : rng_.fork(0x4000 + id);
+  }
+
+ private:
+  sim::Rng rng_;
+  std::optional<std::uint64_t> seed_;  // engaged: component streams
+};
 
 class OverlayNetwork {
  public:
   /// Deploys one overlay node per node of `overlay_topology`, node i running
-  /// on hosts[i]. Each overlay link gets one underlay channel per ISP
-  /// attachment the two hosts share: channel c uses attachment c on both
-  /// sides (the builders attach hosts to ISPs in the same order), so with
-  /// dual-homed hosts channel 0 is on-net ISP A and channel 1 on-net ISP B —
-  /// the resilient network architecture of Fig. 1.
-  OverlayNetwork(sim::Simulator& sim, net::Internet& internet, topo::Graph overlay_topology,
-                 std::vector<net::HostId> hosts, const NodeConfig& cfg, sim::Rng rng);
-
-  /// Convenience: deploy over a dual-ISP underlay built from a backbone map.
-  OverlayNetwork(sim::Simulator& sim, net::Internet& internet, const topo::BackboneMap& map,
-                 const topo::BuiltUnderlay& underlay, const NodeConfig& cfg, sim::Rng rng);
-
-  /// Sharded deployment over an internet with enable_sharding() applied:
-  /// node i lives on hosts[i]'s partition simulator, and its RNG comes from
-  /// sim::component_stream keyed by (partition, node) — NOT from a sequential
-  /// fork chain — so node randomness is a pure function of the partition
-  /// structure, independent of construction order and worker count.
-  OverlayNetwork(sim::ShardedKernel& kernel, net::Internet& internet,
-                 topo::Graph overlay_topology, std::vector<net::HostId> hosts,
-                 const NodeConfig& cfg, std::uint64_t seed);
+  /// on hosts[i] and on internet.host_sim(hosts[i]) — the internet's own
+  /// simulator unless enable_sharding() partitioned it. Each overlay link gets
+  /// one underlay channel per ISP attachment the two hosts share: channel c
+  /// uses attachment c on both sides (the builders attach hosts to ISPs in the
+  /// same order), so with dual-homed hosts channel 0 is on-net ISP A and
+  /// channel 1 on-net ISP B — the resilient network architecture of Fig. 1.
+  OverlayNetwork(net::Internet& internet, topo::Graph overlay_topology,
+                 std::vector<net::HostId> hosts, const NodeConfig& cfg, NodeStreams streams);
 
   /// Starts every node (hellos, state flooding).
   void start();
-  /// Starts (if needed) and runs the simulator long enough for hellos, LSAs
-  /// and group state to stabilize.
+  /// Starts (if needed) and runs the simulation — the sharded kernel when the
+  /// internet has one — long enough for hellos, LSAs and group state to
+  /// stabilize.
   void settle(sim::Duration how_long = sim::Duration::seconds(3));
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   OverlayNode& node(NodeId id) { return *nodes_.at(id); }
   [[nodiscard]] const topo::Graph& designed_topology() const { return graph_; }
-  sim::Simulator& simulator() { return sim_; }
-  /// Non-null iff sharded-deployed. Churn scripts schedule through the
+  sim::Simulator& simulator() { return internet_.simulator(); }
+  /// Non-null iff the internet is sharded. Churn scripts schedule through the
   /// kernel's control-sim path so events land identically for any worker
   /// count.
-  [[nodiscard]] sim::ShardedKernel* sharded_kernel() { return kernel_; }
+  [[nodiscard]] sim::ShardedKernel* sharded_kernel() { return internet_.kernel(); }
 
  private:
-  /// Shared deployment loop; `sim_of` / `rng_of` pick each node's simulator
-  /// and randomness (the only things the monolithic and sharded paths differ
-  /// in).
-  void build_nodes(net::Internet& internet, const std::vector<net::HostId>& hosts,
-                   const NodeConfig& cfg,
-                   const std::function<sim::Simulator&(NodeId)>& sim_of,
-                   const std::function<sim::Rng(NodeId)>& rng_of);
-
-  sim::Simulator& sim_;
-  sim::ShardedKernel* kernel_ = nullptr;  // set iff sharded-deployed
+  net::Internet& internet_;
   topo::Graph graph_;
   std::vector<std::unique_ptr<OverlayNode>> nodes_;
 };
@@ -88,7 +100,10 @@ struct ChainFixture {
     for (const LinkBit b : hop_overlay_links) m |= bit_of(b);
     return m;
   }
-  [[nodiscard]] LinkMask direct_mask() const { return bit_of(direct_link); }
+  [[nodiscard]] LinkMask direct_mask() const {
+    SON_DCHECK(direct_link != kInvalidLinkBit, "a 2-node chain has no direct link");
+    return bit_of(direct_link);
+  }
 };
 
 struct ChainOptions {

@@ -92,10 +92,10 @@ class NodeLinkContext final : public LinkContext {
 
 // ---- Construction / startup --------------------------------------------------
 
-OverlayNode::OverlayNode(sim::Simulator& sim, net::Internet& internet, net::HostId host,
-                         NodeId id, topo::Graph overlay_topology,
-                         std::vector<NeighborSpec> neighbors, NodeConfig cfg, sim::Rng rng)
-    : sim_{sim},
+OverlayNode::OverlayNode(net::Internet& internet, net::HostId host, NodeId id,
+                         topo::Graph overlay_topology, std::vector<NeighborSpec> neighbors,
+                         NodeConfig cfg, sim::Rng rng)
+    : sim_{internet.host_sim(host)},
       internet_{internet},
       host_{host},
       id_{id},

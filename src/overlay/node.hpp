@@ -163,7 +163,8 @@ class OverlayNode {
     std::vector<Channel> channels;
   };
 
-  OverlayNode(sim::Simulator& sim, net::Internet& internet, net::HostId host, NodeId id,
+  /// Runs on internet.host_sim(host), the simulator of the host's partition.
+  OverlayNode(net::Internet& internet, net::HostId host, NodeId id,
               topo::Graph overlay_topology, std::vector<NeighborSpec> neighbors,
               NodeConfig cfg, sim::Rng rng);
   ~OverlayNode();

@@ -18,12 +18,7 @@ bool RealtimeEndpointBase::send(Message msg) {
   const std::uint64_t seq = next_seq_++;
   history_.put(seq, Sent{msg, ctx_.simulator().now()});
 
-  LinkFrame f;
-  f.link = ctx_.link();
-  f.from = ctx_.self();
-  f.to = ctx_.peer();
-  f.proto = protocol();
-  f.type = FrameType::kData;
+  LinkFrame f = frame(FrameType::kData);
   f.seq = seq;
   f.msg = std::move(msg);
   ctx_.send_frame(std::move(f));
@@ -63,12 +58,7 @@ void RealtimeEndpointBase::handle_request(const LinkFrame& f) {
       burst_timers_.push_back(ctx_.simulator().schedule(at, [this, seq]() {
         const Sent* hit = history_.find(seq);
         if (hit == nullptr) return;
-        LinkFrame rf;
-        rf.link = ctx_.link();
-        rf.from = ctx_.self();
-        rf.to = ctx_.peer();
-        rf.proto = protocol();
-        rf.type = FrameType::kRetransmission;
+        LinkFrame rf = frame(FrameType::kRetransmission);
         rf.seq = seq;
         rf.msg = hit->msg;
         ctx_.send_frame(std::move(rf));
@@ -133,12 +123,7 @@ void RealtimeEndpointBase::note_gap(std::uint64_t missing, const MessageHeader& 
 
 void RealtimeEndpointBase::send_request(std::uint64_t missing, sim::Duration responder_budget) {
   if (!pending_.contains(missing)) return;
-  LinkFrame f;
-  f.link = ctx_.link();
-  f.from = ctx_.self();
-  f.to = ctx_.peer();
-  f.proto = protocol();
-  f.type = FrameType::kRetransRequest;
+  LinkFrame f = frame(FrameType::kRetransRequest);
   f.ids.push_back(missing);
   f.budget = responder_budget;
   ctx_.send_frame(std::move(f));

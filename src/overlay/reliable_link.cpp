@@ -9,12 +9,7 @@ namespace son::overlay {
 // ---- Best effort -----------------------------------------------------------
 
 bool BestEffortEndpoint::send(Message msg) {
-  LinkFrame f;
-  f.link = ctx_.link();
-  f.from = ctx_.self();
-  f.to = ctx_.peer();
-  f.proto = LinkProtocol::kBestEffort;
-  f.type = FrameType::kData;
+  LinkFrame f = frame(FrameType::kData);
   f.msg = std::move(msg);
   ctx_.send_frame(std::move(f));
   return true;
@@ -52,12 +47,7 @@ bool ReliableLinkEndpoint::send(Message msg) {
 }
 
 void ReliableLinkEndpoint::transmit_data(std::uint64_t seq, const Message& msg, bool retrans) {
-  LinkFrame f;
-  f.link = ctx_.link();
-  f.from = ctx_.self();
-  f.to = ctx_.peer();
-  f.proto = LinkProtocol::kReliable;
-  f.type = retrans ? FrameType::kRetransmission : FrameType::kData;
+  LinkFrame f = frame(retrans ? FrameType::kRetransmission : FrameType::kData);
   f.seq = seq;
   f.msg = msg;
   ctx_.send_frame(std::move(f));
@@ -204,12 +194,7 @@ void ReliableLinkEndpoint::schedule_ack() {
 }
 
 void ReliableLinkEndpoint::send_ack() {
-  LinkFrame f;
-  f.link = ctx_.link();
-  f.from = ctx_.self();
-  f.to = ctx_.peer();
-  f.proto = LinkProtocol::kReliable;
-  f.type = FrameType::kAck;
+  LinkFrame f = frame(FrameType::kAck);
   f.cum_ack = recv_cum_;
   // Highest seq seen: together with the exhaustive nack list below this lets
   // the sender infer which out-of-order seqs we already hold (SACK).

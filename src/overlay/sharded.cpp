@@ -11,12 +11,11 @@ ShardedMapFixture build_sharded_map(const topo::BackboneMap& map, const ShardedM
   fx.internet = std::make_unique<net::Internet>(
       fx.kernel->control_sim(), sim::component_stream(seed, 0, kStreamInternet, 0), opts.net);
   fx.underlay = topo::build_dual_isp(*fx.internet, map, opts.underlay);
-  fx.plan = topo::partition_by_site(*fx.internet, fx.underlay);
-  fx.internet->enable_sharding(*fx.kernel, fx.plan);
+  fx.internet->enable_sharding(*fx.kernel, topo::partition_by_site(*fx.internet, fx.underlay));
   obs::bind_worker_observability(*fx.kernel);
-  fx.overlay = std::make_unique<OverlayNetwork>(
-      *fx.kernel, *fx.internet, topo::overlay_graph(map, opts.underlay.route_inflation),
-      fx.underlay.hosts, opts.node, seed);
+  fx.overlay = std::make_unique<OverlayNetwork>(*fx.internet, fx.underlay.overlay,
+                                                fx.underlay.hosts, opts.node,
+                                                NodeStreams::component_streams(seed));
   return fx;
 }
 

@@ -18,12 +18,6 @@
 
 namespace son::overlay {
 
-/// Component keys for sim::component_stream — the layout-independent RNG
-/// derivation shared by every sharded deployment.
-inline constexpr std::uint32_t kStreamInternet = 1;
-inline constexpr std::uint32_t kStreamNode = 2;
-inline constexpr std::uint32_t kStreamFlowEngine = 3;
-
 struct ShardedMapOptions {
   /// Executor threads (clamped to the partition count). Results never depend
   /// on it.
@@ -39,7 +33,6 @@ struct ShardedMapFixture {
   std::unique_ptr<sim::ShardedKernel> kernel;
   std::unique_ptr<net::Internet> internet;
   topo::BuiltUnderlay underlay;
-  net::Internet::ShardPlan plan;
   std::unique_ptr<OverlayNetwork> overlay;
 
   /// The partition simulator overlay node `id` runs on — schedule traffic
@@ -47,7 +40,6 @@ struct ShardedMapFixture {
   [[nodiscard]] sim::Simulator& node_sim(NodeId id) {
     return internet->host_sim(underlay.hosts[id]);
   }
-  void settle(sim::Duration how_long = sim::Duration::seconds(3)) { overlay->settle(how_long); }
 };
 
 /// Builds the whole stack: kernel (one partition per city), internet over

@@ -99,6 +99,7 @@ BuiltUnderlay build_dual_isp(net::Internet& internet, const BackboneMap& map,
     internet.attach_host(h, out.routers_b[c], access);
     out.hosts.push_back(h);
   }
+  out.overlay = overlay_graph(map, opts.route_inflation);
   return out;
 }
 

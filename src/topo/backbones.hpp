@@ -61,10 +61,13 @@ struct BuiltUnderlay {
   /// Backbone link ids per map edge; kInvalidLink where an ISP skipped it.
   std::vector<net::LinkId> links_a;
   std::vector<net::LinkId> links_b;
+  /// The designed overlay, overlay_graph(map, route_inflation): its link
+  /// weights are the latencies of the fibers built under it.
+  Graph overlay{0};
 };
 
 /// Instantiates the map as two parallel ISP backbones in `internet`, with one
-/// multihomed host per city.
+/// multihomed host per city, and returns the overlay designed over them.
 BuiltUnderlay build_dual_isp(net::Internet& internet, const BackboneMap& map,
                              const DualIspOptions& opts);
 

@@ -74,7 +74,7 @@ ShardedChurnResult run_churn_scenario(unsigned workers) {
     });
   }
 
-  fx.settle(3_s);
+  fx.overlay->settle(3_s);
   const sim::TimePoint t0 = fx.kernel->now();
 
   // Six cross-country flows, each ticking on its source node's partition.

@@ -450,7 +450,7 @@ TEST(FlowEngineGolden, SharedInstantOrderingMatchesTheEventQueue) {
 struct BareEndpoint {
   Simulator sim;
   net::Internet internet{sim, sim::Rng{5}};
-  overlay::OverlayNode node{sim, internet, internet.add_host("probe"), 0, topo::Graph{1}, {},
+  overlay::OverlayNode node{internet, internet.add_host("probe"), 0, topo::Graph{1}, {},
                             overlay::NodeConfig{}, sim::Rng{6}};
   overlay::ClientEndpoint& src = node.connect(1);
 };

@@ -101,7 +101,7 @@ TEST(CongestionReroute, OverlayRoutesAroundContendedLink) {
   g.add_edge(0, 2, 8.0);
   g.add_edge(2, 1, 8.0);
   overlay::NodeConfig cfg;  // loss-aware routing on (the default)
-  overlay::OverlayNetwork net{sim, inet, g, hosts, cfg, sim::Rng{6}};
+  overlay::OverlayNetwork net{inet, g, hosts, cfg, sim::Rng{6}};
   net.settle(3_s);
 
   auto& src = net.node(0).connect(1);
@@ -174,7 +174,7 @@ TEST(CongestionReroute, QueueInflationAloneAlsoTriggersReroute) {
   g.add_edge(2, 1, 8.0);
   overlay::NodeConfig cfg;
   cfg.loss_aware_routing = false;  // ablation
-  overlay::OverlayNetwork net{sim, inet, g, hosts, cfg, sim::Rng{9}};
+  overlay::OverlayNetwork net{inet, g, hosts, cfg, sim::Rng{9}};
   net.settle(3_s);
 
   auto& src = net.node(0).connect(1);

@@ -63,7 +63,7 @@ ShardedFlowsResult run_sharded_flows(unsigned workers) {
     });
   }
 
-  fx.settle(3_s);
+  fx.overlay->settle(3_s);
   const sim::TimePoint t0 = fx.kernel->now();
 
   std::vector<std::unique_ptr<FlowEngine>> engines;

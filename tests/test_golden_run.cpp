@@ -238,7 +238,7 @@ ShardedGoldenResult run_sharded_scenario(unsigned workers) {
     });
   }
 
-  fx.settle(3_s);
+  fx.overlay->settle(3_s);
   const sim::TimePoint t0 = fx.kernel->now();
 
   // Six CBR flows across the map, each ticking on ITS OWN partition's
@@ -389,7 +389,7 @@ ShardedGoldenResult run_it_auth_scenario(unsigned workers) {
     });
   }
 
-  fx.settle(3_s);
+  fx.overlay->settle(3_s);
   const sim::TimePoint t0 = fx.kernel->now();
 
   // Six cross-country flows, alternating IT-Priority / IT-Reliable, each

@@ -121,7 +121,7 @@ TEST(ObsRecorder, NodeRecordsChannelFailover) {
   const auto map = topo::continental_us();
   const auto u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
-  overlay::OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{2}};
+  overlay::OverlayNetwork net{inet, u.overlay, u.hosts, cfg, sim::Rng{2}};
   net.settle(3_s);
 
   Recorder rec{net.size(), 1 << 10};

@@ -147,7 +147,7 @@ TEST(AsymmetricIsps, OverlayLinkUsesWhicheverProviderHasTheFiber) {
   opts.skip_in_isp_b = {1};  // ISP B has no NYC-CHI fiber
   const auto u = topo::build_dual_isp(inet, map, opts);
   overlay::NodeConfig cfg;
-  OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{6}};
+  OverlayNetwork net{inet, u.overlay, u.hosts, cfg, sim::Rng{6}};
   net.settle(3_s);
 
   const auto h01 = net.node(0).link_health(0);  // NYC-WDC: only ISP B works
@@ -197,7 +197,7 @@ TEST(GlobalMap, EndToEndTrafficAcrossTheGlobe) {
   const auto map = topo::global_sites();
   const auto u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
-  OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{9}};
+  OverlayNetwork net{inet, u.overlay, u.hosts, cfg, sim::Rng{9}};
   net.settle(4_s);
 
   // SYD (8) -> LON (3): roughly the antipodal worst case in the map.

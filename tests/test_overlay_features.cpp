@@ -299,8 +299,8 @@ TEST(ParallelOverlays, TwoOverlaysShareMachinesIndependently) {
   cfg_b.daemon_port = 8200;
   cfg_b.authenticate = true;
   cfg_b.master_key[0] = 0x11;
-  OverlayNetwork overlay_a{sim, inet, chain, hosts, cfg_a, sim::Rng{11}};
-  OverlayNetwork overlay_b{sim, inet, chain, hosts, cfg_b, sim::Rng{12}};
+  OverlayNetwork overlay_a{inet, chain, hosts, cfg_a, sim::Rng{11}};
+  OverlayNetwork overlay_b{inet, chain, hosts, cfg_b, sim::Rng{12}};
   overlay_a.start();
   overlay_b.start();
   sim.run_for(3_s);

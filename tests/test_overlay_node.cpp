@@ -1,10 +1,14 @@
 // Integration tests: whole overlay networks over a simulated underlay.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "client/flow_engine.hpp"
 #include "client/traffic.hpp"
 #include "net/failures.hpp"
 #include "overlay/network.hpp"
+#include "sim/check.hpp"
 
 namespace son::overlay {
 namespace {
@@ -225,7 +229,8 @@ struct UsFixture {
   explicit UsFixture(NodeConfig cfg = {}) {
     topo::DualIspOptions opts;
     underlay = topo::build_dual_isp(inet, map, opts);
-    overlay = std::make_unique<OverlayNetwork>(sim, inet, map, underlay, cfg, sim::Rng{401});
+    overlay = std::make_unique<OverlayNetwork>(inet, underlay.overlay, underlay.hosts, cfg,
+                                               sim::Rng{401});
   }
 };
 
@@ -259,6 +264,24 @@ TEST(UsOverlay, LatencyIsGeographic) {
   // NYC->SFO overlay path: ~26-35 ms one way (multi-hop, inflated fiber).
   EXPECT_GT(sink.latencies_ms().max(), 20.0);
   EXPECT_LT(sink.latencies_ms().max(), 40.0);
+}
+
+TEST(UsOverlay, DesignedWeightsFollowTheUnderlaysRouteInflation) {
+  Simulator sim;
+  net::Internet inet{sim, sim::Rng{402}};
+  const topo::BackboneMap map = topo::continental_us();
+  topo::DualIspOptions opts;
+  opts.route_inflation = 2.0;
+  const topo::BuiltUnderlay u = topo::build_dual_isp(inet, map, opts);
+  const OverlayNetwork net{inet, u.overlay, u.hosts, NodeConfig{}, sim::Rng{403}};
+  const topo::Graph& g = net.designed_topology();
+  ASSERT_EQ(g.num_edges(), map.edges.size());
+  for (topo::EdgeIndex e = 0; e < g.num_edges(); ++e) {
+    const topo::Graph::Edge& ed = g.edge(e);
+    EXPECT_EQ(ed.weight,
+              topo::fiber_latency(map.cities[ed.u], map.cities[ed.v], 2.0).to_millis_f())
+        << "edge " << e;
+  }
 }
 
 TEST(UsOverlay, IspChannelFailoverKeepsLinkUp) {
@@ -389,6 +412,34 @@ TEST(UsOverlay, FloodingDeliversExactlyOncePerMessage) {
   // The node-level dedup absorbed the redundant copies.
   EXPECT_GT(f.overlay->node(11).stats().dedup_dropped, 0u);
 }
+
+// ---- Deployment checks ----------------------------------------------------------
+
+#if SON_DCHECK_ENABLED
+TEST(OverlayNetworkDeathTest, MoreThan64LinksAbort) {
+  // C_33(1,2) has 66 links; link bits index 64-bit masks.
+  Simulator sim;
+  EXPECT_DEATH(build_graph_fixture(sim, circulant_topology(33), GraphOptions{}, sim::Rng{1}),
+               "more than 64 overlay links");
+}
+
+TEST(OverlayNetworkDeathTest, HostsOneShortAborts) {
+  Simulator sim;
+  net::Internet inet{sim, sim::Rng{1}};
+  std::vector<net::HostId> hosts;
+  for (int i = 0; i < 5; ++i) hosts.push_back(inet.add_host("h" + std::to_string(i)));
+  EXPECT_DEATH(OverlayNetwork(inet, circulant_topology(6), hosts, NodeConfig{}, sim::Rng{2}),
+               "one host per overlay node");
+}
+
+TEST(ChainFixtureDeathTest, TwoNodeChainHasNoDirectMask) {
+  Simulator sim;
+  ChainOptions opts;
+  opts.n_nodes = 2;
+  const ChainFixture fx = build_chain(sim, opts, sim::Rng{3});
+  EXPECT_DEATH((void)fx.direct_mask(), "no direct link");
+}
+#endif
 
 }  // namespace
 }  // namespace son::overlay

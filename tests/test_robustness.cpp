@@ -87,7 +87,7 @@ TEST(Chaos, RandomFailuresNeverWedgeTheOverlay) {
   const auto map = topo::continental_us();
   const auto u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
   overlay::NodeConfig cfg;
-  overlay::OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{6}};
+  overlay::OverlayNetwork net{inet, u.overlay, u.hosts, cfg, sim::Rng{6}};
   net.settle(3_s);
 
   auto& src = net.node(0).connect(1);
@@ -145,7 +145,7 @@ TEST(Determinism, IdenticalSeedsIdenticalRuns) {
     const auto map = topo::continental_us();
     const auto u = topo::build_dual_isp(inet, map, topo::DualIspOptions{});
     overlay::NodeConfig cfg;
-    overlay::OverlayNetwork net{sim, inet, map, u, cfg, sim::Rng{43}};
+    overlay::OverlayNetwork net{inet, u.overlay, u.hosts, cfg, sim::Rng{43}};
     net.settle(3_s);
     auto& src = net.node(0).connect(1);
     auto& dst = net.node(9).connect(2);
