@@ -182,7 +182,7 @@ exp::Metrics run_sharded(unsigned workers, Duration dur, std::uint64_t seed) {
 // ---- FLOWS: flyweight flow engine at 10^5..10^6 concurrent flows ------------
 //
 // One client::FlowEngine per continental site carries the whole user
-// population of that edge in SoA flow tables — no per-flow objects, no
+// population of that edge in one flow table — no per-flow objects, no
 // per-flow timers. Three service classes share each engine (timely realtime
 // with a 150 ms deadline, hop-by-hop reliable, best-effort bulk), and the
 // report prices the aggregate model (flows per wall-second, bytes per flow)
@@ -602,7 +602,7 @@ int main(int argc, char** argv) {
   }
   bench::note("");
   bench::note("Flyweight flow engine, one per continental site: the whole population in");
-  bench::note("SoA tables, three service classes (timely/reliable/bulk), batched");
+  bench::note("one flow table, three service classes (timely/reliable/bulk), batched");
   bench::note("arrivals per --load-curve. mem B/flow is the engine's real table");
   bench::note("footprint at peak population; flows/s and pkts/s are wall-clock rates.");
   bench::Table ft{{"flows", "curve", "wall s", "flows/s", "pkts/s", "mem B/flow", "dlvr",

@@ -47,7 +47,7 @@ FlowEngine::FlowEngine(sim::Simulator& sim, overlay::ClientEndpoint& client,
       rng_{rng} {
   SON_DCHECK(!opts_.classes.empty(), "FlowEngine needs at least one FlowClass");
   SON_DCHECK(!opts_.dests.empty(), "FlowEngine needs at least one destination");
-  // cls_ and dest_ store the indices narrowed to 8 and 16 bits.
+  // Flow::cls and Flow::dest store the indices narrowed to 8 and 16 bits.
   SON_DCHECK(opts_.classes.size() <= 256, "FlowEngine holds at most 256 flow classes");
   SON_DCHECK(opts_.dests.size() <= 65536, "FlowEngine holds at most 65536 destinations");
   SON_DCHECK(opts_.buckets > 0 && opts_.bucket_width > sim::Duration::zero(),
@@ -62,27 +62,20 @@ FlowEngine::FlowEngine(sim::Simulator& sim, overlay::ClientEndpoint& client,
     payloads_.push_back(overlay::make_payload(c.payload_bytes));
     total_weight += c.weight;
     cum_weights_.push_back(total_weight);
+    mean_gap_s_.push_back(1.0 / c.rate_pps);
+    gap_ns_.push_back(c.poisson ? 0 : sim::Duration::from_seconds_f(1.0 / c.rate_pps).ns());
+    SON_DCHECK(c.poisson || gap_ns_.back() > 0, "CBR inter-packet gap rounds to zero");
   }
   SON_DCHECK(total_weight > 0.0, "flow class weights sum to zero");
   sent_by_class_.assign(opts_.classes.size(), 0);
   blocked_by_class_.assign(opts_.classes.size(), 0);
 
-  // Reserve every per-flow table up front: steady-state ticking then never
-  // touches the allocator, which the alloc-probe test asserts.
+  // Reserve the flow table up front: steady-state ticking then never touches
+  // the allocator, which the alloc-probe test asserts.
   const std::size_t headroom =
       opts_.capacity_headroom != 0 ? opts_.capacity_headroom : opts_.flows / 2 + 1024;
   const std::size_t cap = opts_.flows + headroom;
-  fire_ns_.reserve(cap);
-  stop_ns_.reserve(cap);
-  interval_ns_.reserve(cap);
-  mean_gap_s_.reserve(cap);
-  flow_rng_.reserve(cap);
-  order_.reserve(cap);
-  seq_.reserve(cap);
-  budget_.reserve(cap);
-  tag_.reserve(cap);
-  cls_.reserve(cap);
-  dest_.reserve(cap);
+  flows_.reserve(cap);
   heap_.reserve(cap + 1);
   free_list_.reserve(cap);
 }
@@ -123,32 +116,22 @@ std::uint32_t FlowEngine::acquire_slot() {
     free_list_.pop_back();
     return idx;
   }
-  const auto idx = static_cast<std::uint32_t>(fire_ns_.size());
-  fire_ns_.push_back(0);
-  stop_ns_.push_back(0);
-  interval_ns_.push_back(0);
-  mean_gap_s_.push_back(0.0);
-  flow_rng_.push_back(sim::Rng{});
-  order_.push_back(0);
-  seq_.push_back(0);
-  budget_.push_back(kNoBudget);
-  tag_.push_back(0);
-  cls_.push_back(0);
-  dest_.push_back(0);
+  const auto idx = static_cast<std::uint32_t>(flows_.size());
+  flows_.push_back(Flow{});
   return idx;
 }
 
 void FlowEngine::release_slot(std::uint32_t idx) { free_list_.push_back(idx); }
 
 void FlowEngine::insert_heap(std::uint32_t idx) {
-  heap_.push_back(HeapEntry{fire_ns_[idx], order_[idx], idx});
+  heap_.push_back(HeapEntry{flows_[idx].fire_ns, flows_[idx].order, idx});
   std::push_heap(heap_.begin(), heap_.end(), [](const HeapEntry& a, const HeapEntry& b) {
     return a.fire_ns > b.fire_ns || (a.fire_ns == b.fire_ns && a.order > b.order);
   });
 }
 
 void FlowEngine::insert(std::uint32_t idx) {
-  const std::int64_t b = fire_ns_[idx] / bucket_width_ns_;
+  const std::int64_t b = flows_[idx].fire_ns / bucket_width_ns_;
   if (b < next_bucket_) {
     insert_heap(idx);
   } else if (b < next_bucket_ + static_cast<std::int64_t>(wheel_.size())) {
@@ -156,7 +139,7 @@ void FlowEngine::insert(std::uint32_t idx) {
     ++wheel_count_;
   } else {
     overflow_.push_back(idx);
-    overflow_min_ = std::min(overflow_min_, fire_ns_[idx]);
+    overflow_min_ = std::min(overflow_min_, flows_[idx].fire_ns);
   }
 }
 
@@ -168,7 +151,7 @@ void FlowEngine::redistribute_overflow() {
   overflow_min_ = kNever;
   for (std::size_t i = 0; i < overflow_.size(); ++i) {
     const std::uint32_t idx = overflow_[i];
-    const std::int64_t b = fire_ns_[idx] / bucket_width_ns_;
+    const std::int64_t b = flows_[idx].fire_ns / bucket_width_ns_;
     if (b < next_bucket_ + buckets) {
       if (b < next_bucket_) {
         insert_heap(idx);
@@ -178,7 +161,7 @@ void FlowEngine::redistribute_overflow() {
       }
     } else {
       overflow_[keep++] = idx;
-      overflow_min_ = std::min(overflow_min_, fire_ns_[idx]);
+      overflow_min_ = std::min(overflow_min_, flows_[idx].fire_ns);
     }
   }
   overflow_.resize(keep);
@@ -258,22 +241,22 @@ void FlowEngine::process_due() {
 }
 
 void FlowEngine::fire_flow(std::uint32_t idx, std::int64_t now_ns) {
+  Flow& f = flows_[idx];
   // Stop contract (pinned by the traffic boundary tests): no packets at or
   // after the flow's stop time.
-  if (now_ns >= stop_ns_[idx]) {
+  if (now_ns >= f.stop_ns) {
     retire(idx);
     return;
   }
-  const std::size_t c = cls_[idx];
-  const overlay::Destination& dest = opts_.dests[dest_[idx]];
+  const std::size_t c = f.cls;
+  const overlay::Destination& dest = opts_.dests[f.dest];
   bool admitted;
   if (hook_ != nullptr) {
     admitted = hook_(hook_ctx_, c, dest, sim::TimePoint::from_ns(now_ns));
   } else if (opts_.legacy_identity) {
     admitted = client_.send(dest, payloads_[c], opts_.classes[c].spec);
   } else {
-    admitted = client_.send_flow(dest, payloads_[c], opts_.classes[c].spec, tag_[idx],
-                                 ++seq_[idx]);
+    admitted = client_.send_flow(dest, payloads_[c], opts_.classes[c].spec, f.tag, ++f.seq);
   }
   if (admitted) {
     ++totals_.sent;
@@ -282,25 +265,24 @@ void FlowEngine::fire_flow(std::uint32_t idx, std::int64_t now_ns) {
     ++totals_.blocked;
     ++blocked_by_class_[c];
   }
-  if (budget_[idx] != kNoBudget && --budget_[idx] == 0) {
+  if (f.budget != kNoBudget && --f.budget == 0) {
     retire(idx);
     return;
   }
   std::int64_t next;
-  if (interval_ns_[idx] > 0) {
-    next = fire_ns_[idx] + interval_ns_[idx];  // CBR: exact grid, no drift
+  if (gap_ns_[c] > 0) {
+    next = f.fire_ns + gap_ns_[c];  // CBR: exact grid, no drift
   } else {
-    next = now_ns +
-           sim::Duration::from_seconds_f(flow_rng_[idx].exponential(mean_gap_s_[idx])).ns();
+    next = now_ns + sim::Duration::from_seconds_f(f.rng.exponential(mean_gap_s_[c])).ns();
   }
-  if (next >= stop_ns_[idx]) {
+  if (next >= f.stop_ns) {
     // Equivalent to the per-object senders' "tick past stop does nothing",
     // minus the dead wake-up.
     retire(idx);
     return;
   }
-  fire_ns_[idx] = next;
-  order_[idx] = ++order_counter_;
+  f.fire_ns = next;
+  f.order = ++order_counter_;
   insert(idx);
 }
 
@@ -314,24 +296,17 @@ std::uint32_t FlowEngine::add_flow(std::size_t cls, std::size_t dest, sim::TimeP
                                    sim::TimePoint stop, sim::Rng rng) {
   SON_DCHECK(cls < opts_.classes.size(), "flow class out of range");
   SON_DCHECK(dest < opts_.dests.size(), "destination index out of range");
-  const FlowClass& fc = opts_.classes[cls];
+  const std::uint32_t budget = opts_.classes[cls].packet_budget;
   const std::uint32_t idx = acquire_slot();
-  fire_ns_[idx] = std::max(first.ns(), sim_.now().ns());
-  stop_ns_[idx] = stop.ns();
-  if (fc.poisson) {
-    interval_ns_[idx] = 0;
-    mean_gap_s_[idx] = 1.0 / fc.rate_pps;
-  } else {
-    interval_ns_[idx] = sim::Duration::from_seconds_f(1.0 / fc.rate_pps).ns();
-    SON_DCHECK(interval_ns_[idx] > 0, "CBR inter-packet gap rounds to zero");
-  }
-  flow_rng_[idx] = rng;
-  order_[idx] = ++order_counter_;
-  seq_[idx] = 0;
-  budget_[idx] = fc.packet_budget == 0 ? kNoBudget : fc.packet_budget;
-  tag_[idx] = ++tag_counter_;
-  cls_[idx] = static_cast<std::uint8_t>(cls);
-  dest_[idx] = static_cast<std::uint16_t>(dest);
+  flows_[idx] = Flow{.fire_ns = std::max(first.ns(), sim_.now().ns()),
+                     .stop_ns = stop.ns(),
+                     .order = ++order_counter_,
+                     .rng = rng,
+                     .seq = 0,
+                     .budget = budget == 0 ? kNoBudget : budget,
+                     .tag = ++tag_counter_,
+                     .dest = static_cast<std::uint16_t>(dest),
+                     .cls = static_cast<std::uint8_t>(cls)};
   insert(idx);
   ++active_;
   peak_active_ = std::max(peak_active_, active_);
@@ -424,17 +399,9 @@ std::uint64_t FlowEngine::poisson_draw(double lam) {
 
 std::size_t FlowEngine::memory_bytes() const {
   std::size_t total = 0;
-  total += fire_ns_.capacity() * sizeof(std::int64_t);
-  total += stop_ns_.capacity() * sizeof(std::int64_t);
-  total += interval_ns_.capacity() * sizeof(std::int64_t);
+  total += flows_.capacity() * sizeof(Flow);
+  total += gap_ns_.capacity() * sizeof(std::int64_t);
   total += mean_gap_s_.capacity() * sizeof(double);
-  total += flow_rng_.capacity() * sizeof(sim::Rng);
-  total += order_.capacity() * sizeof(std::uint64_t);
-  total += seq_.capacity() * sizeof(std::uint32_t);
-  total += budget_.capacity() * sizeof(std::uint32_t);
-  total += tag_.capacity() * sizeof(std::uint32_t);
-  total += cls_.capacity() * sizeof(std::uint8_t);
-  total += dest_.capacity() * sizeof(std::uint16_t);
   total += heap_.capacity() * sizeof(HeapEntry);
   total += overflow_.capacity() * sizeof(std::uint32_t);
   total += free_list_.capacity() * sizeof(std::uint32_t);

@@ -1,10 +1,13 @@
 // Flyweight aggregate client model: the one traffic source, from a single
 // CBR or Poisson flow up to millions of concurrent flows per trial.
 //
-// An engine keeps per-edge-site flow TABLES in SoA layout (parallel arrays
-// of next-fire time, inter-packet gap, remaining packet budget, service
-// class and destination index; no per-flow allocation, no per-flow
-// sim::EventId) driven by ONE calendar/bucket-wheel timer per engine. Flow
+// An engine keeps each flow as ONE row of a single table (next-fire time,
+// stop time, scheduling-order stamp, gap stream, sequence number, remaining
+// packet budget, tag, destination index and service class: 56 bytes, so a
+// fire touches one row instead of a column per field; no per-flow
+// allocation, no per-flow sim::EventId). What depends only on the class —
+// the CBR gap and the Poisson mean — lives in per-class arrays. ONE
+// calendar/bucket-wheel timer per engine drives the table. Flow
 // populations are either built explicitly (add_flow; the one-flow
 // constructor is the single-flow case) or drawn as batched arrivals from a
 // configurable arrival-rate curve (constant, diurnal wave, flash-crowd
@@ -105,7 +108,7 @@ struct FlowEngineOptions {
   /// sequence numbers, so every flow of the endpoint shares one identity.
   /// Default (false) uses the flyweight send_flow() path, which keeps zero
   /// per-flow state in the endpoint: every flow gets a distinct tag and the
-  /// engine holds its sequence numbers in the SoA tables.
+  /// engine holds its sequence numbers in the flow rows.
   bool legacy_identity = false;
 };
 
@@ -155,9 +158,22 @@ class FlowEngine {
   [[nodiscard]] std::size_t active_flows() const { return active_; }
   [[nodiscard]] std::size_t peak_active_flows() const { return peak_active_; }
 
-  /// Bytes reserved by the SoA tables, wheel, heap, overflow and free list
+  /// Bytes reserved by the flow rows, wheel, heap, overflow and free list
   /// (capacities, not sizes): the engine's actual memory-per-flow footprint.
   [[nodiscard]] std::size_t memory_bytes() const;
+
+  /// One flow's state, one row of the flow table.
+  struct Flow {
+    std::int64_t fire_ns;
+    std::int64_t stop_ns;
+    std::uint64_t order;  // scheduling-order stamp of fire_ns
+    sim::Rng rng{};       // the flow's gap stream (poisson classes)
+    std::uint32_t seq;    // next flow_seq - 1 (tagged identity)
+    std::uint32_t budget;
+    std::uint32_t tag;
+    std::uint16_t dest;
+    std::uint8_t cls;
+  };
 
   /// Test/bench instrumentation: when set, packet emissions call the hook
   /// instead of the endpoint (return value = "admitted", mirroring send()).
@@ -203,18 +219,12 @@ class FlowEngine {
   std::vector<overlay::Payload> payloads_;  // one per class, shared across sends
   std::vector<double> cum_weights_;
 
-  // --- SoA flow tables (parallel arrays; index = flow slot) ---
-  std::vector<std::int64_t> fire_ns_;
-  std::vector<std::int64_t> stop_ns_;
-  std::vector<std::int64_t> interval_ns_;  // CBR gap; 0 = poisson (mean_gap_s_)
+  // --- Per-class constants, filled once by the constructor ---
+  std::vector<std::int64_t> gap_ns_;  // CBR gap; 0 = poisson (mean_gap_s_)
   std::vector<double> mean_gap_s_;
-  std::vector<sim::Rng> flow_rng_;
-  std::vector<std::uint64_t> order_;  // scheduling-order stamp of fire_ns_
-  std::vector<std::uint32_t> seq_;    // next flow_seq - 1 (tagged identity)
-  std::vector<std::uint32_t> budget_;
-  std::vector<std::uint32_t> tag_;
-  std::vector<std::uint8_t> cls_;
-  std::vector<std::uint16_t> dest_;
+
+  // --- The flow table (index = flow slot) ---
+  std::vector<Flow> flows_;
 
   // --- Calendar queue: heap over collected buckets + wheel + overflow ---
   std::vector<HeapEntry> heap_;              // (fire, order) min-heap

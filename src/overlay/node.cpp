@@ -827,7 +827,7 @@ void OverlayNode::refresh_link_ad(bool force_flood) {
 
 void OverlayNode::flood_control(FrameType type, const net::PayloadRef& ad, LinkBit arrived_on) {
   ++stats_.lsa_floods;
-  if (flood_timers_.size() > 65536) flood_timers_.clear();  // long fired
+  sim_.forget_fired(flood_timers_);  // the destructor cancels the rest
   for (auto& nl : links_) {
     if (nl.spec.link == arrived_on) continue;
     for (std::uint32_t copy = 0; copy < kFloodCopies; ++copy) {

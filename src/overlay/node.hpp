@@ -294,7 +294,7 @@ class OverlayNode {
                    const ServiceSpec& spec, sim::TimePoint origin_time);
   /// Shared origination body: flow identity (key + seq) is supplied by the
   /// caller — client_send derives it from the endpoint's per-flow map,
-  /// send_flow from the FlowEngine's tagged SoA tables.
+  /// send_flow from the FlowEngine's tagged flow rows.
   bool client_send_impl(ClientEndpoint& client, const Destination& dest, Payload payload,
                         const ServiceSpec& spec, sim::TimePoint origin_time,
                         std::uint64_t flow_key, std::uint64_t flow_seq,

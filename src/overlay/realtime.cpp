@@ -32,7 +32,8 @@ void RealtimeEndpointBase::prune_history() {
   while (!history_.empty() && history_.front().value.sent_at < cutoff) {
     history_.erase(history_.front().seq);
   }
-  if (burst_timers_.size() > 65536) burst_timers_.clear();  // all long fired
+  // Keep the ids of bursts that can still fire: the destructor cancels them.
+  ctx_.simulator().forget_fired(burst_timers_);
 }
 
 void RealtimeEndpointBase::handle_request(const LinkFrame& f) {

@@ -2,46 +2,38 @@
 
 #include <algorithm>
 
-#include "sim/check.hpp"
-
 namespace son::sim {
 
 namespace {
 constexpr EventId make_id(std::uint32_t slot, std::uint32_t gen) {
   return (static_cast<EventId>(gen) << 32) | (slot + 1u);
 }
+
+/// Retires every id issued for a slot's current generation.
+void bump(std::uint32_t& gen) {
+  ++gen;
+  if (gen == 0) ++gen;  // generation 0 would collide with kInvalidEventId
+}
 }  // namespace
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t idx = free_head_;
-    SON_DCHECK(idx < slots_.size(), "free list points outside the slot pool");
-    SON_DCHECK(!slots_[idx].armed && !slots_[idx].cb,
+    SON_DCHECK(idx < used_, "free list points outside the slot pool");
+    SON_DCHECK(!slot(idx).armed && !slot(idx).cb,
                "free-list slot still armed or holding a callback");
-    free_head_ = slots_[idx].next_free;
+    free_head_ = slot(idx).next_free;
     return idx;
   }
-  // son-analyze: allow(hot-path-alloc) "slot pool grows to peak live-event count then stabilizes; pinned by alloc-probe test"
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  if (used_ == chunks_.size() * kChunkSlots) {
+    // son-analyze: allow(hot-path-alloc) "slot pool grows one fixed chunk at a time to the peak live-event count, then stabilizes; pinned by alloc-probe test"
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  }
+  return used_++;
 }
 
-void EventQueue::release_slot(std::uint32_t idx) const {
-  SON_DCHECK(idx < slots_.size(), "releasing a slot outside the pool");
-  Slot& s = slots_[idx];
-  s.cb.reset();
-  s.armed = false;
-  ++s.gen;
-  if (s.gen == 0) ++s.gen;  // generation 0 would collide with kInvalidEventId
-  s.next_free = free_head_;
-  free_head_ = idx;
-}
-
-EventId EventQueue::schedule(TimePoint when, Callback cb) {
-  SON_DCHECK(static_cast<bool>(cb), "scheduling a null callback");
-  const std::uint32_t idx = acquire_slot();
-  Slot& s = slots_[idx];
-  s.cb = std::move(cb);
+EventId EventQueue::arm(TimePoint when, std::uint32_t idx) {
+  Slot& s = slot(idx);
   s.armed = true;
   // son-analyze: allow(hot-path-alloc) "heap capacity tracks the slot pool: growth stops once the pool stabilizes"
   heap_.push_back(Entry{when, next_seq_++, idx, s.gen});
@@ -50,27 +42,39 @@ EventId EventQueue::schedule(TimePoint when, Callback cb) {
   return make_id(idx, s.gen);
 }
 
-bool EventQueue::cancel(EventId id) {
+void EventQueue::free_slot(std::uint32_t idx) const {
+  Slot& s = slot(idx);
+  s.next_free = free_head_;
+  free_head_ = idx;
+}
+
+EventQueue::Slot* EventQueue::pending_slot(EventId id) const {
   const auto raw = static_cast<std::uint32_t>(id & 0xffffffffu);
-  if (raw == 0) return false;
-  const std::uint32_t idx = raw - 1;
-  if (idx >= slots_.size()) return false;
-  Slot& s = slots_[idx];
-  if (!s.armed || s.gen != static_cast<std::uint32_t>(id >> 32)) return false;
+  if (raw == 0 || raw > used_) return nullptr;
+  Slot& s = slot(raw - 1);
+  if (!s.armed || s.gen != static_cast<std::uint32_t>(id >> 32)) return nullptr;
+  return &s;
+}
+
+bool EventQueue::cancel(EventId id) {
+  Slot* s = pending_slot(id);
+  if (s == nullptr) return false;
   // Lazy removal: the heap entry stays until it surfaces; the callback's
   // captured state is released eagerly.
-  s.armed = false;
-  s.cb.reset();
+  s->armed = false;
+  s->cb.reset();
   --live_;
   return true;
 }
 
 void EventQueue::skip_cancelled() const {
-  while (!heap_.empty() && !slots_[heap_.front().slot].armed) {
-    SON_DCHECK(slots_[heap_.front().slot].gen == heap_.front().gen,
+  while (!heap_.empty() && !slot(heap_.front().slot).armed) {
+    Slot& s = slot(heap_.front().slot);
+    SON_DCHECK(s.gen == heap_.front().gen,
                "cancelled heap entry's generation drifted from its slot");
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    release_slot(heap_.back().slot);
+    bump(s.gen);
+    free_slot(heap_.back().slot);
     heap_.pop_back();
   }
   SON_DCHECK(live_ <= heap_.size(), "live counter exceeds heap entries");
@@ -82,32 +86,36 @@ TimePoint EventQueue::next_time() const {
   return heap_.front().time;
 }
 
-EventQueue::Fired EventQueue::pop() {
+void EventQueue::fire_next(TimePoint& clock) {
   skip_cancelled();
-  SON_DCHECK(!heap_.empty(), "pop() on empty queue");
+  SON_DCHECK(!heap_.empty(), "fire_next() on empty queue");
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Entry e = heap_.back();
   heap_.pop_back();
-  Slot& s = slots_[e.slot];
+  Slot& s = slot(e.slot);
   SON_DCHECK(s.armed && s.gen == e.gen,
-             "popped entry does not own its slot (stale generation or disarmed)");
-  Fired f{e.time, std::move(s.cb)};
+             "fired entry does not own its slot (stale generation or disarmed)");
+  // The event stops being pending before its callback runs: its id goes
+  // stale, and the slot stays off the free list until the call returns, so
+  // nothing the callback schedules can land in (or move) the running closure.
+  s.armed = false;
+  bump(s.gen);
   --live_;
-  release_slot(e.slot);
-  return f;
+  clock = e.time;
+  s.cb();
+  s.cb.reset();
+  free_slot(e.slot);
 }
 
 void EventQueue::clear() {
   heap_.clear();
   free_head_ = kNilSlot;
-  for (std::uint32_t i = static_cast<std::uint32_t>(slots_.size()); i-- > 0;) {
-    Slot& s = slots_[i];
+  for (std::uint32_t i = used_; i-- > 0;) {
+    Slot& s = slot(i);
     s.cb.reset();
     s.armed = false;
-    ++s.gen;
-    if (s.gen == 0) ++s.gen;
-    s.next_free = free_head_;
-    free_head_ = i;
+    bump(s.gen);
+    free_slot(i);
   }
   live_ = 0;
 }

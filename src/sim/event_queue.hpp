@@ -2,18 +2,31 @@
 //
 // Events are (time, sequence) ordered: ties in time fire in schedule order,
 // which keeps runs fully deterministic. The heap holds 24-byte POD entries;
-// callbacks live in a generation-tagged slot pool, so schedule/pop/cancel are
-// O(log n) heap operations with zero hash-table traffic and zero per-event
-// allocation at steady state (small closures are stored inline in the slot —
-// see sim/callback.hpp). Cancellation is lazy: a cancelled event's callback
-// is destroyed immediately, but its heap entry stays and is skipped when it
-// surfaces; the slot is recycled at that point.
+// callbacks live in a generation-tagged slot pool, so schedule/fire/cancel
+// are O(log n) heap operations with zero hash-table traffic and zero
+// per-event allocation at steady state (small closures are stored inline in
+// the slot — see sim/callback.hpp).
+//
+// Events work in place. schedule() constructs the closure directly in its
+// slot, and fire_next() runs it there: the slot is disarmed and its id
+// retired before the call (so a self-cancel returns false), and it rejoins
+// the free list only after the callback returns. The pool grows in
+// fixed-size chunks that never move, so a callback that schedules cannot
+// relocate its own closure.
+//
+// Cancellation is lazy: a cancelled event's callback is destroyed
+// immediately, but its heap entry stays and is skipped when it surfaces; the
+// slot is recycled at that point.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
+#include "sim/check.hpp"
 #include "sim/hot.hpp"
 #include "sim/time.hpp"
 
@@ -21,19 +34,26 @@ namespace son::sim {
 
 /// Identifies a scheduled event; usable to cancel it. 0 is never a valid id.
 /// Encoding: (slot generation << 32) | (slot index + 1). A slot's generation
-/// bumps on every recycle, so an id held across slot reuse can never cancel
-/// the slot's next occupant.
+/// bumps whenever its event fires or its cancelled entry is retired, so an id
+/// held across slot reuse can never cancel the slot's next occupant.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  using Callback = sim::Callback;
-
-  /// Schedules `cb` to fire at `when`. Returns an id usable with cancel();
-  /// discarding it forfeits the only handle to the event, so callers that
-  /// never cancel must say so explicitly (assign to a discarded value).
-  SON_HOT [[nodiscard]] EventId schedule(TimePoint when, Callback cb);
+  /// Schedules `f` to fire at `when`, constructing it in its slot. Returns an
+  /// id usable with cancel(); discarding it forfeits the only handle to the
+  /// event, so callers that never cancel must say so explicitly (assign to a
+  /// discarded value).
+  template <typename F>
+    requires std::is_invocable_r_v<void, std::remove_cvref_t<F>&>
+  SON_HOT [[nodiscard]] EventId schedule(TimePoint when, F&& f) {
+    const std::uint32_t idx = acquire_slot();
+    Slot& s = slot(idx);
+    s.cb.store(std::forward<F>(f));
+    SON_DCHECK(static_cast<bool>(s.cb), "scheduling a null callback");
+    return arm(when, idx);
+  }
 
   /// Cancels a pending event. Cancelling an already-fired or already-
   /// cancelled event is a harmless no-op. Returns true if it was pending —
@@ -41,25 +61,29 @@ class EventQueue {
   /// the bug class the generation tags exist to surface).
   SON_HOT [[nodiscard]] bool cancel(EventId id);
 
+  /// True while the event can still fire: scheduled, not yet fired, not
+  /// cancelled. An event is no longer pending once its callback starts.
+  [[nodiscard]] bool pending(EventId id) const { return pending_slot(id) != nullptr; }
+
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Time of the earliest pending event. Precondition: !empty().
   SON_HOT [[nodiscard]] TimePoint next_time() const;
 
-  /// Removes and returns the earliest pending event's callback and time.
-  /// Precondition: !empty().
-  struct Fired {
-    TimePoint time;
-    Callback cb;
-  };
-  SON_HOT Fired pop();
+  /// Fires the earliest pending event: stores its time into `clock`, then
+  /// runs its callback inside its slot. Precondition: !empty(), and no call
+  /// from inside a firing callback to clear().
+  SON_HOT void fire_next(TimePoint& clock);
 
   /// Drops all pending events (their ids all become stale).
   void clear();
 
  private:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
+  /// Slots per pool chunk; a chunk is allocated whole and never moves.
+  static constexpr std::uint32_t kChunkBits = 7;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
 
   struct Entry {
     TimePoint time;
@@ -80,16 +104,22 @@ class EventQueue {
     std::uint32_t next_free = kNilSlot;
   };
 
-  // Invariant: a slot is recycled only when its heap entry is removed, so
-  // every entry in the heap satisfies slots_[e.slot].gen == e.gen, and
-  // !armed means the entry was cancelled.
+  // Invariant: a heap entry whose slot is armed owns it (gen matches). A
+  // slot is recycled only when its heap entry is removed, so !armed means
+  // the entry was cancelled.
+  [[nodiscard]] Slot& slot(std::uint32_t idx) const {
+    return chunks_[idx >> kChunkBits][idx & (kChunkSlots - 1)];
+  }
+  [[nodiscard]] Slot* pending_slot(EventId id) const;
   std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t idx) const;
+  EventId arm(TimePoint when, std::uint32_t idx);
+  void free_slot(std::uint32_t idx) const;
   void skip_cancelled() const;
 
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t used_ = 0;  // slots ever handed out; [used_, capacity) is fresh
   // Mutable so next_time() can retire cancelled heads lazily.
   mutable std::vector<Entry> heap_;
-  mutable std::vector<Slot> slots_;
   mutable std::uint32_t free_head_ = kNilSlot;
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 1;

@@ -58,14 +58,17 @@ class ShardChannel {
   ShardChannel(const ShardChannel&) = delete;
   ShardChannel& operator=(const ShardChannel&) = delete;
 
-  /// Enqueues `cb` for delivery into the destination partition at `when`.
-  /// The lookahead contract requires when >= (source round start + lookahead);
-  /// violating it would let an event land in the destination's past.
-  void push(TimePoint when, Callback cb) {
+  /// Enqueues `f` for delivery into the destination partition at `when`,
+  /// constructing it in the staging buffer; the round flush then moves it
+  /// once, into its destination queue slot. The lookahead contract requires
+  /// when >= (source round start + lookahead); violating it would let an
+  /// event land in the destination's past.
+  template <typename F>
+  void push(TimePoint when, F&& f) {
     SON_DCHECK(when >= floor_ + lookahead_,
                "cross-shard event violates the channel's lookahead bound");
     // son-analyze: allow(hot-path-alloc) "staging buffer drains every round; capacity plateaus at the per-round burst size"
-    buf_.push_back(Pending{when, std::move(cb)});
+    buf_.emplace_back(when, std::forward<F>(f));
     ++total_pushed_;
   }
 
@@ -81,6 +84,8 @@ class ShardChannel {
       : src_{src}, dst_{dst}, lookahead_{lookahead} {}
 
   struct Pending {
+    template <typename F>
+    Pending(TimePoint w, F&& f) : when{w}, cb(std::forward<F>(f)) {}
     TimePoint when;
     Callback cb;
   };
@@ -119,9 +124,10 @@ class ShardedKernel {
   [[nodiscard]] Simulator& control_sim() { return control_; }
 
   /// Schedules a global event (see control_sim()).
-  void schedule_global(TimePoint when, Callback cb) {
+  template <typename F>
+  void schedule_global(TimePoint when, F&& f) {
     SON_DCHECK(!in_round(), "schedule_global may not be called from a partition event");
-    (void)control_.schedule_at(when, std::move(cb));
+    (void)control_.schedule_at(when, std::forward<F>(f));
   }
 
   /// Registers the channel for src→dst cross-partition events. At most one

@@ -5,9 +5,7 @@ namespace son::sim {
 std::uint64_t Simulator::run() {
   std::uint64_t n = 0;
   while (!queue_.empty()) {
-    auto [time, cb] = queue_.pop();
-    now_ = time;
-    cb();
+    queue_.fire_next(now_);
     ++n;
   }
   fired_ += n;
@@ -17,9 +15,7 @@ std::uint64_t Simulator::run() {
 std::uint64_t Simulator::run_before(TimePoint bound) {
   std::uint64_t n = 0;
   while (!queue_.empty() && queue_.next_time() < bound) {
-    auto [time, cb] = queue_.pop();
-    now_ = time;
-    cb();
+    queue_.fire_next(now_);
     ++n;
   }
   fired_ += n;
@@ -29,9 +25,7 @@ std::uint64_t Simulator::run_before(TimePoint bound) {
 std::uint64_t Simulator::run_until(TimePoint deadline) {
   std::uint64_t n = 0;
   while (!queue_.empty() && queue_.next_time() <= deadline) {
-    auto [time, cb] = queue_.pop();
-    now_ = time;
-    cb();
+    queue_.fire_next(now_);
     ++n;
   }
   if (now_ < deadline) now_ = deadline;

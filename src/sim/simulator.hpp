@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "sim/check.hpp"
 #include "sim/event_queue.hpp"
@@ -22,18 +24,35 @@ class Simulator {
 
   [[nodiscard]] TimePoint now() const { return now_; }
 
-  /// Schedules `cb` to run `delay` from now. Negative delays are clamped to
-  /// "immediately" (still FIFO-ordered after events already due now).
-  EventId schedule(Duration delay, EventQueue::Callback cb) {
+  /// Schedules `f` to run `delay` from now, constructing it in its queue
+  /// slot. Negative delays are clamped to "immediately" (still FIFO-ordered
+  /// after events already due now).
+  template <typename F>
+  EventId schedule(Duration delay, F&& f) {
     const Duration d = delay < Duration::zero() ? Duration::zero() : delay;
-    return queue_.schedule(now_ + d, std::move(cb));
+    return queue_.schedule(now_ + d, std::forward<F>(f));
   }
 
-  EventId schedule_at(TimePoint when, EventQueue::Callback cb) {
-    return queue_.schedule(when < now_ ? now_ : when, std::move(cb));
+  template <typename F>
+  EventId schedule_at(TimePoint when, F&& f) {
+    return queue_.schedule(when < now_ ? now_ : when, std::forward<F>(f));
   }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
+
+  /// True while the event can still fire (see EventQueue::pending).
+  [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }
+
+  /// Drops from `ids` the timers that can no longer fire, so an owner that
+  /// keeps the ids of fire-and-forget timers (to cancel the pending ones
+  /// when it dies) holds a bounded list. Runs only when the list holds at
+  /// least kTimerListFloor ids and is full to capacity, i.e. about to grow:
+  /// amortized O(1) per id, and no work at all for shorter lists.
+  void forget_fired(std::vector<EventId>& ids) const {
+    if (ids.size() < kTimerListFloor || ids.size() < ids.capacity()) return;
+    std::erase_if(ids, [this](EventId id) { return !queue_.pending(id); });
+  }
+  static constexpr std::size_t kTimerListFloor = 65536;
 
   /// Runs events until the queue drains. Returns the number of events fired.
   std::uint64_t run();

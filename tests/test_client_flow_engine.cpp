@@ -1,4 +1,4 @@
-// FlowEngine: SoA flow tables + single bucket-wheel timer per edge site.
+// FlowEngine: one row per flow + single bucket-wheel timer per edge site.
 //
 // The contracts pinned here:
 //   1. Stop boundary — no flow sends at or after its `stop` (a tick landing
@@ -472,6 +472,23 @@ TEST(FlowEngineDeathTest, MoreThan65536DestinationsAbort) {
   EXPECT_DEATH(FlowEngine(b.sim, b.src, eo, sim::Rng{1}), "65536 destinations");
 }
 #endif
+
+// ---- Row layout --------------------------------------------------------------
+
+TEST(FlowEngine, FlowRowFitsOneCacheLine) {
+  // One fire reads and writes one row; at 300k+ flows the table is far
+  // larger than cache, so a row wider than a line costs a second miss.
+  static_assert(sizeof(FlowEngine::Flow) <= 64);
+  BareEndpoint b;
+  FlowEngineOptions eo;
+  eo.classes = {FlowClass{}};
+  eo.dests = {Destination::unicast(0, 2)};
+  eo.flows = 1000;
+  eo.capacity_headroom = 24;
+  const FlowEngine eng{b.sim, b.src, eo, sim::Rng{1}};
+  // Reserved rows dominate the footprint: 1024 rows plus the heap entries.
+  EXPECT_LT(eng.memory_bytes(), 1024 * (sizeof(FlowEngine::Flow) + 24 + 4) + 64 * 1024);
+}
 
 // ---- Zero-allocation steady state -------------------------------------------
 

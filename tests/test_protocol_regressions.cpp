@@ -10,6 +10,9 @@
 //  - send_ack() enumerated every hole below recv_max_ with no cap, producing
 //    unbounded nack lists (and an O(window) scan) after a burst loss.
 //  - DedupCache probed its hash set twice per message on the hot path.
+//  - RealtimeEndpointBase dropped every burst-timer id once it held 65,536,
+//    including bursts scheduled moments earlier, so an endpoint reset
+//    mid-run left this-capturing closures to run on freed memory.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -17,6 +20,7 @@
 #include "fake_link.hpp"
 #include "net/loss_model.hpp"
 #include "overlay/dedup.hpp"
+#include "overlay/realtime.hpp"
 #include "overlay/reliable_link.hpp"
 #include "overlay/reorder_buffer.hpp"
 
@@ -273,6 +277,36 @@ TEST(DedupBugfix, EvictionAccountingAndReadmission) {
   EXPECT_EQ(d.size(), 4u);
   EXPECT_FALSE(d.seen_or_insert(1));  // evicted id is readmitted as new
   EXPECT_EQ(d.evictions(), 2u);       // ...displacing 2
+}
+
+// ---- Realtime burst timers ---------------------------------------------------
+
+TEST(RealtimeBugfix, ResetEndpointCancelsEveryPendingBurst) {
+  Simulator sim;
+  FakeLinkPair pair{sim, 5_ms, 0.0};
+  auto a = std::make_unique<RealtimeSimpleEndpoint>(pair.ctx_a(), LinkProtocolConfig{});
+  pair.attach(a.get(), nullptr);  // frames to b are counted, then dropped
+
+  // One more burst id than the endpoint used to keep: the request below
+  // schedules a retransmission for every seq, all due now.
+  constexpr std::uint64_t kSends = 65537;
+  LinkFrame request;
+  request.type = FrameType::kRetransRequest;
+  for (std::uint64_t s = 1; s <= kSends; ++s) {
+    a->send(make_msg(s, sim.now()));
+    request.ids.push_back(s);
+  }
+  a->on_frame(request);
+  a->send(make_msg(kSends + 1, sim.now()));  // prunes the burst-id list
+
+  // A peer restart resets the endpoint before its bursts fire. The destructor
+  // must cancel all of them: a surviving burst runs on the freed endpoint
+  // (ASan: heap-use-after-free) and sends a retransmission through it.
+  const std::uint64_t frames_before = pair.frames_sent();
+  a.reset();
+  sim.run();
+  EXPECT_EQ(pair.frames_sent(), frames_before);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Model-based fuzzing of the event queue: random schedule/cancel/pop
+// Model-based fuzzing of the event queue: random schedule/cancel/fire
 // sequences compared against a trivially-correct reference implementation.
 #include <gtest/gtest.h>
 
@@ -61,17 +61,19 @@ TEST(EventQueueFuzz, MatchesReferenceModel) {
     Rng rng{seed};
     EventQueue q;
     ReferenceQueue ref;
-    // Track fired ids from the real queue via callback capture.
+    // Each callback reports the reference id it mirrors when it fires.
     std::vector<std::uint64_t> live_ids;  // ids believed pending (may be stale)
     std::map<EventId, std::uint64_t> id_map;  // real id -> ref id
+    std::uint64_t fired_ref_id = 0;
+    TimePoint clock;
 
     for (int step = 0; step < 3000; ++step) {
       const double dice = rng.uniform();
       if (dice < 0.5) {
         // Schedule at a random time (duplicates encouraged).
         const auto when = TimePoint::from_ns(rng.uniform_int(0, 50) * 1000);
-        const EventId real = q.schedule(when, []() {});
         const std::uint64_t mirror = ref.schedule(when);
+        const EventId real = q.schedule(when, [&fired_ref_id, mirror]() { fired_ref_id = mirror; });
         id_map[real] = mirror;
         live_ids.push_back(real);
       } else if (dice < 0.75 && !live_ids.empty()) {
@@ -84,19 +86,19 @@ TEST(EventQueueFuzz, MatchesReferenceModel) {
       } else if (!q.empty()) {
         ASSERT_FALSE(ref.empty());
         ASSERT_EQ(q.next_time(), ref.next_time()) << "next_time at step " << step;
-        const auto fired = q.pop();
-        const std::uint64_t ref_id = ref.pop();
-        (void)fired;
-        (void)ref_id;
+        const TimePoint due = ref.next_time();
+        q.fire_next(clock);
+        ASSERT_EQ(clock, due) << "fired time at step " << step;
+        ASSERT_EQ(fired_ref_id, ref.pop()) << "fired event at step " << step;
       }
       ASSERT_EQ(q.size(), ref.size()) << "size divergence at step " << step;
       ASSERT_EQ(q.empty(), ref.empty());
     }
-    // Drain both and compare complete pop order.
+    // Drain both and compare the complete firing order.
     while (!q.empty()) {
       ASSERT_EQ(q.next_time(), ref.next_time());
-      q.pop();
-      ref.pop();
+      q.fire_next(clock);
+      ASSERT_EQ(fired_ref_id, ref.pop());
     }
     ASSERT_TRUE(ref.empty());
   }
