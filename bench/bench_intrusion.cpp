@@ -187,8 +187,9 @@ exp::Metrics run_fairness(bool fair, Duration traffic_time, std::uint64_t seed) 
 using ForwardAuthResult = overlay::OverlayNode::ForwardAuthResult;
 
 /// One settled authenticated transit node; time verify + re-sign per
-/// forwarded message. fast_path = the node's bench hook over midstate-cached
-/// MacContext handles (the live path); otherwise the seed reference below.
+/// forwarded message. fast_path = the node's bench hook, which runs the
+/// production tag helper over the key table's cached HMAC midstates (the
+/// live path); otherwise the seed reference below.
 exp::Metrics run_perhop(bool fast_path, std::size_t payload_bytes, std::size_t iters,
                         std::uint64_t seed) {
   sim::Simulator sim;
@@ -366,7 +367,7 @@ int main(int argc, char** argv) {
   bench::note("key) + re-sign toward the egress peer. 'seed' = heap-serialized auth");
   bench::note("bytes + from-scratch scalar HMAC on the raw pair keys (both key-pad");
   bench::note("compressions recomputed per tag);");
-  bench::note("'fast' = per-link MacContext handles resuming cached HMAC midstates on");
+  bench::note("'fast' = the node's tag helper resuming KeyTable's cached HMAC midstates on");
   bench::note("the dispatched SHA-256 kernel (%s here). Wall-clock ns, machine-",
               crypto::sha256_kernel_name());
   bench::note("dependent; tags are asserted bit-identical across paths.");

@@ -27,23 +27,4 @@ KeyTable::KeyTable(const Key& master, std::uint32_t self, std::uint32_t num_node
   }
 }
 
-Tag KeyTable::sign(std::uint32_t peer, std::span<const std::uint8_t> message) const {
-  return sign(peer, message, {});
-}
-
-bool KeyTable::verify(std::uint32_t peer, std::span<const std::uint8_t> message,
-                      const Tag& tag) const {
-  return verify(peer, message, {}, tag);
-}
-
-Tag KeyTable::sign(std::uint32_t peer, std::span<const std::uint8_t> head,
-                   std::span<const std::uint8_t> body) const {
-  return context(peer).sign(head, body);
-}
-
-bool KeyTable::verify(std::uint32_t peer, std::span<const std::uint8_t> head,
-                      std::span<const std::uint8_t> body, const Tag& tag) const {
-  return context(peer).verify(head, body, tag);
-}
-
 }  // namespace son::crypto

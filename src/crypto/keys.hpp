@@ -6,18 +6,17 @@
 // overlay nodes."
 //
 // The table precomputes one HmacKey midstate per peer at construction, so
-// per-frame sign/verify skips both key-pad compressions. Endpoints resolve a
-// MacContext handle once per link (context(peer)) instead of indexing the
-// table per frame. Tags equal the stateless reference
+// per-frame tags skip both key-pad compressions; mac(peer) is one vector
+// index. Tags equal the stateless reference
 // hmac_tag(derive_pair_key(master, self, peer), message) bit for bit; the
 // tests keep that reference as the oracle.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
 #include "crypto/hmac.hpp"
-#include "sim/hot.hpp"
 
 namespace son::crypto {
 
@@ -29,32 +28,6 @@ using Key = std::array<std::uint8_t, 32>;
 /// size self-consistent.
 [[nodiscard]] Key derive_pair_key(const Key& master, std::uint32_t a, std::uint32_t b);
 
-/// Per-link signing handle: the result of resolving one peer in a KeyTable.
-/// Points at the peer's precomputed midstate; sign/verify stream the message
-/// as head||body spans. Invalidated if the owning table is destroyed.
-class MacContext {
- public:
-  MacContext() = default;
-
-  [[nodiscard]] bool valid() const { return mac_ != nullptr; }
-
-  SON_HOT [[nodiscard]] Tag sign(std::span<const std::uint8_t> head,
-                                 std::span<const std::uint8_t> body = {}) const {
-    return mac_->tag(head, body);
-  }
-  SON_HOT [[nodiscard]] bool verify(std::span<const std::uint8_t> head,
-                                    std::span<const std::uint8_t> body,
-                                    const Tag& tag) const {
-    return verify_tag(sign(head, body), tag);
-  }
-
- private:
-  friend class KeyTable;
-  explicit MacContext(const HmacKey* mac) : mac_{mac} {}
-
-  const HmacKey* mac_ = nullptr;
-};
-
 /// Per-node view of the full pairwise key table for n overlay nodes.
 class KeyTable {
  public:
@@ -63,23 +36,12 @@ class KeyTable {
   [[nodiscard]] std::uint32_t self() const { return self_; }
   [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(macs_.size()); }
 
-  /// Resolves the signing handle for the channel self<->peer. Endpoints call
-  /// this once per link, not per frame.
-  [[nodiscard]] MacContext context(std::uint32_t peer) const {
-    return MacContext{&macs_.at(peer)};
+  /// The precomputed midstate for the channel self<->peer; tag() and
+  /// check() stream the message as head||body spans.
+  [[nodiscard]] const HmacKey& mac(std::uint32_t peer) const {
+    assert(peer < macs_.size());
+    return macs_[peer];
   }
-
-  /// Tags `message` for the channel self<->peer.
-  SON_HOT [[nodiscard]] Tag sign(std::uint32_t peer,
-                                 std::span<const std::uint8_t> message) const;
-  SON_HOT [[nodiscard]] bool verify(std::uint32_t peer,
-                                    std::span<const std::uint8_t> message,
-                                    const Tag& tag) const;
-  /// Streaming variants over head||body (zero-copy two-span form).
-  SON_HOT [[nodiscard]] Tag sign(std::uint32_t peer, std::span<const std::uint8_t> head,
-                                 std::span<const std::uint8_t> body) const;
-  SON_HOT [[nodiscard]] bool verify(std::uint32_t peer, std::span<const std::uint8_t> head,
-                                    std::span<const std::uint8_t> body, const Tag& tag) const;
 
  private:
   std::uint32_t self_;

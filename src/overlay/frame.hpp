@@ -68,7 +68,11 @@ struct LinkFrame {
   /// every copy of a frame, and every frame of one flood, shares one ad.
   net::PayloadRef control;
 
-  // Per-hop authentication (intrusion-tolerant deployments).
+  /// Per-hop tag (authenticated deployments), set and checked only by the
+  /// node's link boundary. Hello, hello-reply, LSA and GSA frames and IT
+  /// frames carrying a message are tagged; IT-Reliable kAck/kBusy and the
+  /// other protocols' frames are not. A data frame's tag covers the message
+  /// (auth_head_bytes + payload), not this frame's seq, type or incarnation.
   crypto::Tag auth{};
   bool authenticated = false;
 };
@@ -79,18 +83,17 @@ struct LinkFrame {
 /// Canonical byte encoding of a CONTROL frame's authenticated content
 /// (hello fields, link-state / group-state advertisements). Used for
 /// per-hop HMAC in intrusion-tolerant deployments so outsiders cannot
-/// inject hellos or forge topology/membership state.
+/// inject hellos or forge topology/membership state. Defined in message.cpp
+/// beside auth_head_bytes, with the same little-endian field writer.
 ///
 /// The encoding splits into head || suffix, HMAC'd as two spans (identical
 /// to HMAC over the concatenation):
 ///   * head — the fixed per-link fields (type, link, from, to, hello seq,
 ///     timestamp, channel, incarnation), exactly kControlAuthHeadBytes,
 ///     encoded into a caller stack buffer.
-///   * suffix — the variable advertisement body (LSA / GSA), appended into a
-///     caller scratch vector whose capacity grows monotonically, so steady
-///     state is allocation-free. The suffix depends only on the ad content
-///     (not on which link carries it), which is what lets a K-link flood
-///     serialize it once.
+///   * suffix — the variable advertisement body (LSA / GSA; empty for
+///     hellos), sized once and written in place into a caller scratch vector
+///     whose capacity only grows, so steady state is allocation-free.
 inline constexpr std::size_t kControlAuthHeadBytes = 27;
 
 SON_HOT std::size_t control_auth_head_bytes(const LinkFrame& f, std::span<std::uint8_t> out);

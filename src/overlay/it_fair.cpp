@@ -1,58 +1,15 @@
 #include "overlay/it_fair.hpp"
 
 #include <algorithm>
-#include <array>
 
 namespace son::overlay {
 
 // ---- Shared base -------------------------------------------------------------
 
-namespace {
-std::span<const std::uint8_t> payload_span(const Message& m) {
-  if (!m.payload) return {};
-  return std::span<const std::uint8_t>{m.payload->data(), m.payload->size()};
-}
-}  // namespace
-
 ItEndpointBase::~ItEndpointBase() { ctx_.simulator().cancel(pump_timer_); }
 
 sim::Duration ItEndpointBase::pump_interval() const {
   return sim::Duration::from_seconds_f(1.0 / cfg_.it_egress_msgs_per_sec);
-}
-
-const crypto::MacContext& ItEndpointBase::link_mac() {
-  if (!mac_.valid()) mac_ = ctx_.keys()->context(ctx_.peer());
-  return mac_;
-}
-
-void ItEndpointBase::sign_frame(LinkFrame& f) {
-  if (!ctx_.authenticate() || ctx_.keys() == nullptr || !f.msg) return;
-  ++stats_.sign_ops;
-  std::array<std::uint8_t, kAuthHeadBytes> head;
-  const std::size_t n = auth_head_bytes(*f.msg, std::span{head});
-  f.auth = link_mac().sign(std::span<const std::uint8_t>{head.data(), n},
-                           payload_span(*f.msg));
-  f.authenticated = true;
-}
-
-bool ItEndpointBase::verify_frame(const LinkFrame& f) {
-  if (!ctx_.authenticate() || ctx_.keys() == nullptr) return true;
-  if (!f.msg) return true;  // control frames carry no authenticated body here
-  if (!f.authenticated) {
-    ++stats_.auth_failures;
-    return false;
-  }
-  ++stats_.verify_ops;
-  std::array<std::uint8_t, kAuthHeadBytes> head;
-  const std::size_t n = auth_head_bytes(*f.msg, std::span{head});
-  const std::span<const std::uint8_t> head_sp{head.data(), n};
-  // Frames on a point-to-point link come from the peer; the cached link
-  // context holds exactly that pairwise key.
-  const bool ok = (f.from == ctx_.peer())
-                      ? link_mac().verify(head_sp, payload_span(*f.msg), f.auth)
-                      : ctx_.keys()->verify(f.from, head_sp, payload_span(*f.msg), f.auth);
-  if (!ok) ++stats_.auth_failures;
-  return ok;
 }
 
 bool ItEndpointBase::enqueue(Message m) {
@@ -133,13 +90,11 @@ void ItPriorityEndpoint::transmit(Message m) {
   LinkFrame f = frame(FrameType::kData);
   f.seq = ++stats_.data_sent;
   f.msg = std::move(m);
-  sign_frame(f);
   ctx_.send_frame(std::move(f));
 }
 
 void ItPriorityEndpoint::on_frame(const LinkFrame& f) {
   if (f.type != FrameType::kData || !f.msg) return;
-  if (!verify_frame(f)) return;
   ctx_.deliver_up(*f.msg, f.link);
 }
 
@@ -162,7 +117,6 @@ void ItReliableEndpoint::transmit(Message m) {
   LinkFrame f = frame(FrameType::kData);
   f.seq = seq;
   f.msg = std::move(m);
-  sign_frame(f);
   ctx_.send_frame(std::move(f));
   ++stats_.data_sent;
   arm_retransmit_timer();
@@ -192,7 +146,6 @@ void ItReliableEndpoint::on_retransmit_timer() {
     LinkFrame f = frame(FrameType::kRetransmission);
     f.seq = seq;
     f.msg = fl.msg;
-    sign_frame(f);
     ctx_.send_frame(std::move(f));
     ++stats_.retransmissions;
   }
@@ -203,7 +156,7 @@ void ItReliableEndpoint::on_frame(const LinkFrame& f) {
   switch (f.type) {
     case FrameType::kData:
     case FrameType::kRetransmission: {
-      if (!f.msg || !verify_frame(f)) return;
+      if (!f.msg) return;
       const std::uint64_t seq = f.seq;
       const bool already = seq <= recv_cum_ || recv_ooo_.contains(seq);
       bool admitted = already;

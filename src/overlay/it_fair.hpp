@@ -17,18 +17,18 @@
 //    flow fills, it stops accepting new messages for that flow, creating
 //    backpressure (potentially all the way back to the source)."
 //
-// In intrusion-tolerant deployments every frame is HMAC-authenticated with
-// the pairwise key of the two link endpoints.
+// In intrusion-tolerant deployments the node tags and checks every frame
+// that carries a message (data and retransmissions) with the pairwise key of
+// the two link endpoints, at its link boundary; IT-Reliable's kAck and kBusy
+// frames carry no tag. The endpoints here only schedule and recover.
 #pragma once
 
 #include <deque>
 #include <map>
 #include <set>
 
-#include "obs/counters.hpp"
 #include "overlay/link_protocols.hpp"
 #include "overlay/seq_window.hpp"
-#include "sim/hot.hpp"
 
 namespace son::overlay {
 
@@ -43,10 +43,7 @@ class ItEndpointBase : public LinkProtocolEndpoint {
     std::uint64_t admitted = 0;
     std::uint64_t evicted_low_priority = 0;  // priority mode
     std::uint64_t rejected_full = 0;         // reliable mode (backpressured)
-    std::uint64_t auth_failures = 0;
     std::uint64_t retransmissions = 0;
-    std::uint64_t sign_ops = 0;    // per-hop HMAC tags computed
-    std::uint64_t verify_ops = 0;  // per-hop HMAC tags checked
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -70,15 +67,6 @@ class ItEndpointBase : public LinkProtocolEndpoint {
   /// backpressured flows.)
   [[nodiscard]] virtual bool eligible(std::uint64_t /*key*/) const { return true; }
 
-  /// Per-hop authentication fast path: auth input is streamed as the 64-byte
-  /// header encoding (stack buffer) followed by the shared payload buffer —
-  /// no serialization vector, no payload copy — through the link's resolved
-  /// MacContext (HMAC midstates). Tags equal the stateless HMAC over the
-  /// heap-serialized auth_bytes, the reference the tests compare against.
-  SON_HOT void sign_frame(LinkFrame& f);
-  SON_HOT [[nodiscard]] bool verify_frame(const LinkFrame& f);
-  /// The pairwise signing handle for this link's peer, resolved once.
-  [[nodiscard]] const crypto::MacContext& link_mac();
   [[nodiscard]] sim::Duration pump_interval() const;
 
   std::map<std::uint64_t, Queue> queues_;
@@ -86,11 +74,6 @@ class ItEndpointBase : public LinkProtocolEndpoint {
   std::uint64_t rr_last_key_ = ~std::uint64_t{0};
   sim::EventId pump_timer_ = sim::kInvalidEventId;
   Stats stats_;
-  crypto::MacContext mac_;  // lazily resolved from the key table, once
-  static constexpr obs::Field kCounterFields[] = {
-      {"crypto.sign_ops", offsetof(Stats, sign_ops)},
-      {"crypto.verify_ops", offsetof(Stats, verify_ops)}};
-  obs::Published published_{&stats_, kCounterFields};
 };
 
 class ItPriorityEndpoint final : public ItEndpointBase {

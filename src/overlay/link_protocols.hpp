@@ -11,7 +11,6 @@
 
 #include <memory>
 
-#include "crypto/keys.hpp"
 #include "overlay/frame.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -26,8 +25,9 @@ class LinkContext {
   virtual sim::Simulator& simulator() = 0;
   virtual sim::Rng& rng() = 0;
   /// Transmits a frame to the link's peer over the underlay (the node picks
-  /// the healthiest ISP channel). Fire-and-forget; loss is the protocol's
-  /// problem — that is the point of link protocols.
+  /// the healthiest ISP channel and, in authenticated deployments, tags the
+  /// frame). Fire-and-forget; loss is the protocol's problem — that is the
+  /// point of link protocols.
   virtual void send_frame(LinkFrame frame) = 0;
   /// Hands a received message up to the routing level of this node. Returns
   /// false if the node could NOT admit the message (next-hop buffer full) —
@@ -39,9 +39,6 @@ class LinkContext {
   [[nodiscard]] virtual NodeId self() const = 0;
   [[nodiscard]] virtual NodeId peer() const = 0;
   [[nodiscard]] virtual LinkBit link() const = 0;
-  /// True when this deployment authenticates frames hop-by-hop (IT mode).
-  [[nodiscard]] virtual bool authenticate() const = 0;
-  [[nodiscard]] virtual const crypto::KeyTable* keys() const = 0;
   /// Protocol-level drop accounting (buffer overflow, deadline exceeded...).
   virtual void count_protocol_drop(LinkProtocol proto) = 0;
 };
@@ -98,7 +95,8 @@ class LinkProtocolEndpoint {
 
   /// Routing level asks this link to carry `msg` to the peer.
   virtual bool send(Message msg) = 0;
-  /// A frame for this protocol arrived from the peer.
+  /// A frame for this protocol arrived from the peer (in authenticated
+  /// deployments the node has already checked its tag and incarnation).
   virtual void on_frame(const LinkFrame& f) = 0;
   [[nodiscard]] virtual LinkProtocol protocol() const = 0;
 

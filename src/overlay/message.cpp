@@ -2,6 +2,10 @@
 
 #include <cassert>
 
+#include "overlay/frame.hpp"
+#include "overlay/group_state.hpp"
+#include "overlay/link_state.hpp"
+
 namespace son::overlay {
 
 Payload make_payload(std::vector<std::uint8_t> bytes) {
@@ -13,6 +17,8 @@ Payload make_payload(std::size_t size, std::uint8_t fill) {
 }
 
 namespace {
+/// The one field writer of every authenticated layout: `v` little-endian at
+/// out[at], advancing `at`.
 template <typename T>
 void put(std::uint8_t* out, std::size_t& at, T v) {
   for (std::size_t i = 0; i < sizeof(T); ++i) {
@@ -50,6 +56,63 @@ std::vector<std::uint8_t> auth_bytes(const Message& m) {
   out.resize(n);
   // son-analyze: allow(hot-path-alloc) "reference encoder used by tests and bench reference cells; the hot fast path streams auth_head_bytes + payload spans and never calls this"
   if (m.payload) out.insert(out.end(), m.payload->begin(), m.payload->end());
+  return out;
+}
+
+std::size_t control_auth_head_bytes(const LinkFrame& f, std::span<std::uint8_t> out) {
+  assert(out.size() >= kControlAuthHeadBytes);
+  std::size_t at = 0;
+  std::uint8_t* p = out.data();
+  put(p, at, static_cast<std::uint8_t>(f.type));
+  put(p, at, f.link);
+  put(p, at, f.from);
+  put(p, at, f.to);
+  put(p, at, f.hello_seq);
+  put(p, at, f.t_sent.ns());
+  put(p, at, f.channel);
+  put(p, at, f.incarnation);
+  return at;  // == kControlAuthHeadBytes
+}
+
+void control_auth_suffix_into(const LinkFrame& f, std::vector<std::uint8_t>& out) {
+  // origin, seq, incarnation, then one fixed-width record per link or group;
+  // hellos carry no advertisement body.
+  constexpr std::size_t kAdHead = sizeof(NodeId) + sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  constexpr std::size_t kLinkRecord = sizeof(LinkBit) + 1 + 2 * sizeof(std::uint64_t);
+  const auto* lsa = f.control.get<LinkStateAd>();
+  const auto* gsa = lsa == nullptr ? f.control.get<GroupStateAd>() : nullptr;
+  const std::size_t size = lsa != nullptr ? kAdHead + lsa->links.size() * kLinkRecord
+                           : gsa != nullptr ? kAdHead + gsa->joined.size() * sizeof(GroupId)
+                                            : 0;
+  // son-analyze: allow(hot-path-alloc) "sized once per frame into caller scratch whose capacity only grows; steady state after the first few control frames is allocation-free"
+  out.resize(size);
+  std::uint8_t* p = out.data();
+  std::size_t at = 0;
+  if (lsa != nullptr) {
+    put(p, at, lsa->origin);
+    put(p, at, lsa->seq);
+    put(p, at, lsa->incarnation);
+    for (const LinkReport& r : lsa->links) {
+      put(p, at, r.link);
+      put(p, at, static_cast<std::uint8_t>(r.up));
+      put(p, at, static_cast<std::uint64_t>(r.latency_ms * 1e6));
+      put(p, at, static_cast<std::uint64_t>(r.loss_rate * 1e9));
+    }
+  } else if (gsa != nullptr) {
+    put(p, at, gsa->origin);
+    put(p, at, gsa->seq);
+    put(p, at, gsa->incarnation);
+    for (const GroupId g : gsa->joined) put(p, at, g);
+  }
+  assert(at == size);
+}
+
+std::vector<std::uint8_t> control_auth_bytes(const LinkFrame& f) {
+  std::vector<std::uint8_t> out(kControlAuthHeadBytes);
+  control_auth_head_bytes(f, std::span{out});
+  std::vector<std::uint8_t> suffix;
+  control_auth_suffix_into(f, suffix);
+  out.insert(out.end(), suffix.begin(), suffix.end());
   return out;
 }
 

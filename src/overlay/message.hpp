@@ -72,11 +72,13 @@ inline constexpr std::size_t kAuthHeadBytes = 64;
 /// Canonical byte encoding of the authenticated HEADER portion of a message
 /// (fields that must not be forged; the payload is the second span of the
 /// HMAC input). Encodes exactly kAuthHeadBytes into `out` (which must be at
-/// least that large) and returns the size. Zero-allocation: the IT fast path
-/// encodes into a stack buffer and streams the shared payload buffer behind
-/// it, which is bit-identical to HMAC over auth_bytes() since HMAC input is
-/// the concatenation of its spans. The source-routing mask is covered too:
-/// it is stamped once by the origin and never rewritten in flight.
+/// least that large) and returns the size. Zero-allocation: the node's tag
+/// helper encodes into a stack buffer and streams the shared payload buffer
+/// behind it, which is bit-identical to HMAC over auth_bytes() since HMAC
+/// input is the concatenation of its spans. The source-routing mask is
+/// covered too: it is stamped once by the origin and never rewritten in
+/// flight. The link frame around the message (its seq, type, incarnation)
+/// is not covered.
 SON_HOT std::size_t auth_head_bytes(const Message& m, std::span<std::uint8_t> out);
 
 /// Heap-allocating head+payload concatenation: the reference encoder the

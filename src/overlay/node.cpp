@@ -52,6 +52,8 @@ constexpr obs::Field kCounterFields[] = {
     {"overlay.link.protocol_drops", offsetof(NodeStats, protocol_drops)},
     {"overlay.membership.origin_evictions", offsetof(NodeStats, origin_evictions)},
     {"overlay.membership.cache_evictions", offsetof(NodeStats, cache_evictions)},
+    {"crypto.sign_ops", offsetof(NodeStats, sign_ops)},
+    {"crypto.verify_ops", offsetof(NodeStats, verify_ops)},
 };
 }  // namespace
 
@@ -81,8 +83,6 @@ class NodeLinkContext final : public LinkContext {
     return nl != nullptr ? nl->spec.peer : kInvalidNode;
   }
   [[nodiscard]] LinkBit link() const override { return bit_; }
-  [[nodiscard]] bool authenticate() const override { return node_.cfg_.authenticate; }
-  [[nodiscard]] const crypto::KeyTable* keys() const override { return node_.keys_.get(); }
   void count_protocol_drop(LinkProtocol) override { ++node_.stats_.protocol_drops; }
 
  private:
@@ -491,24 +491,60 @@ LinkProtocolEndpoint& OverlayNode::endpoint(NeighborLink& nl, LinkProtocol proto
   return *it->second;
 }
 
-bool OverlayNode::is_control_frame(FrameType t) {
-  return t == FrameType::kHello || t == FrameType::kHelloReply || t == FrameType::kLsa ||
-         t == FrameType::kGroupState;
+bool OverlayNode::is_tagged(const LinkFrame& f) {
+  switch (f.type) {
+    case FrameType::kHello:
+    case FrameType::kHelloReply:
+    case FrameType::kLsa:
+    case FrameType::kGroupState:
+      return true;
+    default:
+      return f.msg && (f.proto == LinkProtocol::kITPriority ||
+                       f.proto == LinkProtocol::kITReliable);
+  }
+}
+
+crypto::Tag OverlayNode::message_tag(const crypto::HmacKey& mac, const Message& m) {
+  // The head is encoded into a stack buffer and the shared payload streamed
+  // behind it: no serialization vector, no payload copy. The tag equals the
+  // stateless HMAC over auth_bytes(m), the reference the tests compare.
+  std::array<std::uint8_t, kAuthHeadBytes> head;
+  const std::size_t n = auth_head_bytes(m, std::span{head});
+  const std::span<const std::uint8_t> body =
+      m.payload ? std::span<const std::uint8_t>{m.payload->data(), m.payload->size()}
+                : std::span<const std::uint8_t>{};
+  return mac.tag(std::span<const std::uint8_t>{head.data(), n}, body);
+}
+
+crypto::Tag OverlayNode::frame_tag(const crypto::HmacKey& mac, const LinkFrame& f) {
+  if (f.msg) return message_tag(mac, *f.msg);
+  std::array<std::uint8_t, kControlAuthHeadBytes> head;
+  const std::size_t n = control_auth_head_bytes(f, std::span{head});
+  control_auth_suffix_into(f, auth_suffix_scratch_);
+  return mac.tag(std::span<const std::uint8_t>{head.data(), n},
+                 std::span<const std::uint8_t>{auth_suffix_scratch_});
+}
+
+void OverlayNode::sign_frame(LinkFrame& f, NodeId peer) {
+  if (f.msg) ++stats_.sign_ops;
+  f.auth = frame_tag(keys_->mac(peer), f);
+  f.authenticated = true;
+}
+
+bool OverlayNode::verify_frame(const LinkFrame& f) {
+  if (!f.authenticated || f.from >= keys_->size()) return false;
+  if (f.msg) ++stats_.verify_ops;
+  // Re-serialize the claimed content into this node's own scratch: never
+  // trust, and never cache, bytes keyed by a sender-chosen id.
+  return crypto::verify_tag(frame_tag(keys_->mac(f.from), f), f.auth);
 }
 
 void OverlayNode::send_frame_on_link(NeighborLink& nl, LinkFrame f) {
-  if (crashed_) return;  // and says nothing
+  if (crashed_) return;  // says nothing, so signs nothing
   f.incarnation = incarnation_;
-  // Intrusion-tolerant deployments authenticate the control plane hop-by-hop
-  // so outsiders cannot inject hellos or forge topology/membership state.
-  if (cfg_.authenticate && keys_ != nullptr && is_control_frame(f.type)) {
-    std::array<std::uint8_t, kControlAuthHeadBytes> head;
-    const std::size_t n = control_auth_head_bytes(f, std::span{head});
-    if (!nl.mac.valid()) nl.mac = keys_->context(nl.spec.peer);
-    f.auth = nl.mac.sign(std::span<const std::uint8_t>{head.data(), n},
-                         control_suffix_for_sign(f));
-    f.authenticated = true;
-  }
+  // Intrusion-tolerant deployments authenticate every tagged frame hop by
+  // hop, so outsiders can neither inject control state nor forge IT data.
+  if (keys_ != nullptr && is_tagged(f)) sign_frame(f, nl.spec.peer);
   // Channel selection: hellos pin their channel; everything else uses the
   // current best (active) channel.
   std::size_t ch_idx = static_cast<std::size_t>(nl.active_channel);
@@ -550,7 +586,6 @@ void OverlayNode::restart() {
   dedup_.clear();
   reorder_.clear();
   flow_stats_.clear();
-  sign_suffix_valid_ = false;
   const LivenessProber::Config prober_cfg{cfg_.hello_miss_threshold, kHelloUpThreshold};
   for (auto& nl : links_) {
     nl.endpoints.clear();
@@ -587,13 +622,18 @@ void OverlayNode::restart() {
   }
 }
 
-bool OverlayNode::admit_peer_incarnation(NeighborLink& nl, const LinkFrame& f) {
-  membership_.heard_from(f.from, f.incarnation, sim_.now());
+bool OverlayNode::admit_peer_incarnation(NeighborLink& nl, const LinkFrame& f, bool trusted) {
+  if (trusted) membership_.heard_from(f.from, f.incarnation, sim_.now());
   if (f.incarnation < nl.peer_incarnation) {
     ++stats_.stale_incarnation_drops;
     return false;  // a pre-crash ghost still in flight
   }
   if (f.incarnation > nl.peer_incarnation) {
+    if (!trusted) {
+      // Anyone can send an untagged frame: it cannot claim a restart.
+      ++stats_.auth_failures;
+      return false;
+    }
     nl.peer_incarnation = f.incarnation;
     ++stats_.peer_restarts_seen;
     // The peer restarted: its senders are at seq 1 again and its receivers
@@ -634,27 +674,17 @@ void OverlayNode::on_datagram(const net::Datagram& d) {
 }
 
 void OverlayNode::on_frame(const LinkFrame& f) {
-  if (cfg_.authenticate && keys_ != nullptr && is_control_frame(f.type)) {
-    bool ok = f.authenticated && f.from < keys_->size();
-    if (ok) {
-      // Re-serialize the claimed content into this node's own scratch (never
-      // trust, and never cache, bytes keyed by a sender-chosen id).
-      std::array<std::uint8_t, kControlAuthHeadBytes> head;
-      const std::size_t n = control_auth_head_bytes(f, std::span{head});
-      control_auth_suffix_into(f, verify_suffix_scratch_);
-      ok = keys_->verify(f.from, std::span<const std::uint8_t>{head.data(), n},
-                         std::span<const std::uint8_t>{verify_suffix_scratch_}, f.auth);
-    }
-    if (!ok) {
-      ++stats_.control_auth_failures;
-      return;
-    }
+  const bool tagged = keys_ != nullptr && is_tagged(f);
+  if (tagged && !verify_frame(f)) {
+    ++stats_.auth_failures;
+    return;
   }
   // Incarnation discipline runs after authentication (a forged frame must
   // not reset link state) and before any handler: ghosts from a neighbor's
   // previous life are dropped, and a bumped incarnation resets the link.
   if (NeighborLink* nl = link_by_bit(f.link);
-      nl != nullptr && f.from == nl->spec.peer && !admit_peer_incarnation(*nl, f)) {
+      nl != nullptr && f.from == nl->spec.peer &&
+      !admit_peer_incarnation(*nl, f, /*trusted=*/keys_ == nullptr || tagged)) {
     return;
   }
   switch (f.type) {
@@ -848,36 +878,6 @@ void OverlayNode::flood_control(FrameType type, const net::PayloadRef& ad, LinkB
   }
 }
 
-std::span<const std::uint8_t> OverlayNode::control_suffix_for_sign(const LinkFrame& f) {
-  NodeId origin = kInvalidNode;
-  std::uint64_t seq = 0;
-  std::uint32_t incarnation = 0;
-  if (const auto* lsa = f.control.get<LinkStateAd>()) {
-    origin = lsa->origin;
-    seq = lsa->seq;
-    incarnation = lsa->incarnation;
-  } else if (const auto* gsa = f.control.get<GroupStateAd>()) {
-    origin = gsa->origin;
-    seq = gsa->seq;
-    incarnation = gsa->incarnation;
-  } else {
-    return {};  // hellos carry no advertisement body
-  }
-  // Ad content is immutable per (type, origin, incarnation, seq): origins
-  // bump seq on every new advertisement within a life and restart seq in a
-  // fresh incarnation, so the triple fully addresses the bytes.
-  if (!sign_suffix_valid_ || sign_suffix_type_ != f.type || sign_suffix_origin_ != origin ||
-      sign_suffix_seq_ != seq || sign_suffix_incarnation_ != incarnation) {
-    control_auth_suffix_into(f, sign_suffix_);
-    sign_suffix_type_ = f.type;
-    sign_suffix_origin_ = origin;
-    sign_suffix_seq_ = seq;
-    sign_suffix_incarnation_ = incarnation;
-    sign_suffix_valid_ = true;
-  }
-  return std::span<const std::uint8_t>{sign_suffix_};
-}
-
 void OverlayNode::handle_lsa(const LinkFrame& f) {
   const auto* ad = f.control.get<LinkStateAd>();
   if (ad == nullptr) return;
@@ -939,8 +939,7 @@ crypto::Tag OverlayNode::bench_make_arrival_tag(const Message& msg, LinkBit arri
   if (keys_ == nullptr) return {};
   const auto* nl = const_cast<OverlayNode*>(this)->link_by_bit(arrived_on);
   if (nl == nullptr) return {};
-  const auto bytes = auth_bytes(msg);
-  return keys_->sign(nl->spec.peer, std::span<const std::uint8_t>{bytes});
+  return message_tag(keys_->mac(nl->spec.peer), msg);
 }
 
 OverlayNode::ForwardAuthResult OverlayNode::bench_forward_lookup(const Message& msg,
@@ -957,7 +956,7 @@ OverlayNode::ForwardAuthResult OverlayNode::bench_forward_lookup(const Message& 
     const auto& links = router_.adjacent_mask_links(msg.hdr.mask, arrived_on);
     if (!links.empty()) res.egress = links.front();
   }
-  if (!cfg_.authenticate || keys_ == nullptr || links_.empty()) return res;
+  if (keys_ == nullptr || links_.empty()) return res;
 
   // Verify is keyed to the INGRESS link's peer (who signed the arriving
   // frame); the re-sign to the EGRESS link's peer (who will verify it next).
@@ -975,16 +974,10 @@ OverlayNode::ForwardAuthResult OverlayNode::bench_forward_lookup(const Message& 
     }
   }
 
-  std::array<std::uint8_t, kAuthHeadBytes> head;
-  const std::size_t n = auth_head_bytes(msg, std::span{head});
-  const std::span<const std::uint8_t> head_sp{head.data(), n};
-  const std::span<const std::uint8_t> body =
-      msg.payload ? std::span<const std::uint8_t>{msg.payload->data(), msg.payload->size()}
-                  : std::span<const std::uint8_t>{};
-  if (!in_nl->mac.valid()) in_nl->mac = keys_->context(in_nl->spec.peer);
-  if (!out_nl->mac.valid()) out_nl->mac = keys_->context(out_nl->spec.peer);
-  res.verified = in_auth == nullptr || in_nl->mac.verify(head_sp, body, *in_auth);
-  res.resigned = out_nl->mac.sign(head_sp, body);
+  // The production tag helper, as on_frame and send_frame_on_link run it.
+  res.verified = in_auth == nullptr ||
+                 crypto::verify_tag(message_tag(keys_->mac(in_nl->spec.peer), msg), *in_auth);
+  res.resigned = message_tag(keys_->mac(out_nl->spec.peer), msg);
   return res;
 }
 

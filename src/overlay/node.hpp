@@ -22,6 +22,7 @@
 #include "overlay/membership.hpp"
 #include "overlay/reorder_buffer.hpp"
 #include "overlay/routing.hpp"
+#include "sim/hot.hpp"
 #include "sim/random.hpp"
 #include "sim/timer_guard.hpp"
 
@@ -139,12 +140,16 @@ struct NodeStats {
   std::uint64_t frames_received = 0;
   std::uint64_t link_failovers = 0;  // ISP channel switches
   std::uint64_t lsa_floods = 0;
-  std::uint64_t control_auth_failures = 0;  // forged/tampered control frames
+  /// Frames an authenticated deployment refused: a tagged frame whose tag is
+  /// missing or wrong, or an untagged one claiming a newer peer incarnation.
+  std::uint64_t auth_failures = 0;
   std::uint64_t ttl_expired = 0;            // overlay-level loop protection
   std::uint64_t origin_evictions = 0;       // departed origins swept from the DBs
   std::uint64_t cache_evictions = 0;        // router cache entries those sweeps dropped
   std::uint64_t stale_incarnation_drops = 0;  // pre-crash ghost frames dropped
   std::uint64_t peer_restarts_seen = 0;       // neighbor incarnation bumps observed
+  std::uint64_t sign_ops = 0;    // data-frame HMAC tags computed (crypto.sign_ops)
+  std::uint64_t verify_ops = 0;  // data-frame HMAC tags checked (crypto.verify_ops)
 };
 
 class OverlayNode {
@@ -281,9 +286,6 @@ class OverlayNode {
     // through it), so it is declared first.
     std::unique_ptr<class NodeLinkContext> ctx;
     std::map<LinkProtocol, std::unique_ptr<LinkProtocolEndpoint>> endpoints;
-    /// Pairwise signing handle toward spec.peer, resolved from the key table
-    /// once (lazily, on the first signed frame).
-    crypto::MacContext mac;
   };
 
   friend class NodeLinkContext;
@@ -323,17 +325,34 @@ class OverlayNode {
   // --- Link level / underlay ---
   void on_datagram(const net::Datagram& d);
   void on_frame(const LinkFrame& f);
-  [[nodiscard]] static bool is_control_frame(FrameType t);
   void send_frame_on_link(NeighborLink& nl, LinkFrame f);
+
+  // --- Per-hop authentication: the one place frames are tagged and checked ---
+  /// The frames an authenticated deployment tags: hello, hello-reply, LSA
+  /// and GSA frames, and IT-Priority / IT-Reliable frames carrying a message.
+  [[nodiscard]] static bool is_tagged(const LinkFrame& f);
+  /// A message's per-hop tag: the 64-byte auth head, then the payload.
+  SON_HOT [[nodiscard]] static crypto::Tag message_tag(const crypto::HmacKey& mac,
+                                                       const Message& m);
+  /// A tagged frame's tag: message_tag for data, else the 27-byte control
+  /// head then the advertisement suffix (serialized into node scratch).
+  SON_HOT [[nodiscard]] crypto::Tag frame_tag(const crypto::HmacKey& mac, const LinkFrame& f);
+  /// Tags `f` for `peer`; sign_ops counts data-frame tags.
+  SON_HOT void sign_frame(LinkFrame& f, NodeId peer);
+  /// Checks `f`'s tag under its sender's pairwise key; verify_ops counts the
+  /// data-frame tags checked.
+  SON_HOT [[nodiscard]] bool verify_frame(const LinkFrame& f);
   NeighborLink* link_by_bit(LinkBit b);
   LinkProtocolEndpoint& endpoint(NeighborLink& nl, LinkProtocol proto);
 
   // --- Membership & churn ---
   /// Frame-level incarnation discipline for a frame from `nl`'s peer:
   /// returns false (drop) for pre-crash ghosts, and resets the link's
-  /// protocol endpoints when the peer restarted. Membership evidence is
-  /// recorded either way.
-  bool admit_peer_incarnation(NeighborLink& nl, const LinkFrame& f);
+  /// protocol endpoints when the peer restarted. Only a `trusted` frame (any
+  /// frame unauthenticated, a verified tagged one authenticated) is
+  /// membership evidence and may raise the peer's incarnation; an untagged
+  /// frame is admitted only at exactly the incarnation already learned.
+  bool admit_peer_incarnation(NeighborLink& nl, const LinkFrame& f, bool trusted);
   /// Sweeps origins silent past dead_origin_timeout and evicts their state.
   void sweep_departed_origins();
 
@@ -350,15 +369,6 @@ class OverlayNode {
   /// Floods one advertisement on every link but `arrived_on`, kFloodCopies
   /// times each. Every frame of the fan-out carries the same `ad` handle.
   void flood_control(FrameType type, const net::PayloadRef& ad, LinkBit arrived_on);
-  /// Sign-side serialize-once cache for flooded advertisement bodies: the
-  /// auth suffix of an LSA/GSA depends only on (type, origin, incarnation,
-  /// seq), so a K-link x kFloodCopies fan-out of one ad serializes it once
-  /// and the remaining copies reuse the cached bytes (each still gets its
-  /// own per-peer midstate HMAC). Sign-side only by design: caching on the
-  /// VERIFY side would let an attacker poison the cache for an
-  /// (origin, incarnation, seq) it does not own. Hello frames have an empty
-  /// suffix and bypass this.
-  [[nodiscard]] std::span<const std::uint8_t> control_suffix_for_sign(const LinkFrame& f);
   void handle_lsa(const LinkFrame& f);
   void handle_group_state(const LinkFrame& f);
   void state_refresh_tick();
@@ -385,18 +395,10 @@ class OverlayNode {
   CompromiseBehavior compromise_;
   bool crashed_ = false;
 
-  // Control-plane auth scratch buffers: capacity grows monotonically, so the
-  // steady state (after the first few ads) signs and verifies without heap
-  // allocation. sign_suffix_ doubles as the flood serialize-once cache.
-  std::vector<std::uint8_t> verify_suffix_scratch_;
-  std::vector<std::uint8_t> sign_suffix_;
-  FrameType sign_suffix_type_ = FrameType::kData;
-  NodeId sign_suffix_origin_ = kInvalidNode;
-  std::uint64_t sign_suffix_seq_ = 0;
-  // Seq resets when an origin restarts, so (origin, seq) alone can recur
-  // with different ad bytes; incarnation completes the cache key.
-  std::uint32_t sign_suffix_incarnation_ = 0;
-  bool sign_suffix_valid_ = false;
+  // Control-frame auth suffix scratch: capacity only grows, so the steady
+  // state (after the first few ads) signs and verifies without heap
+  // allocation.
+  std::vector<std::uint8_t> auth_suffix_scratch_;
 
   std::uint64_t own_lsa_seq_ = 0;
   std::uint64_t own_group_seq_ = 0;

@@ -33,10 +33,6 @@ class FakeLinkPair {
     [[nodiscard]] overlay::NodeId self() const override { return self_; }
     [[nodiscard]] overlay::NodeId peer() const override { return peer_; }
     [[nodiscard]] overlay::LinkBit link() const override { return 0; }
-    [[nodiscard]] bool authenticate() const override { return pair_.authenticate_; }
-    [[nodiscard]] const crypto::KeyTable* keys() const override {
-      return self_ == 0 ? pair_.keys_a_.get() : pair_.keys_b_.get();
-    }
     void count_protocol_drop(overlay::LinkProtocol) override { ++protocol_drops; }
 
     std::vector<overlay::Message> delivered;
@@ -51,22 +47,14 @@ class FakeLinkPair {
   };
 
   FakeLinkPair(sim::Simulator& sim, sim::Duration one_way, double loss,
-               std::uint64_t seed = 99, bool authenticate = false)
+               std::uint64_t seed = 99)
       : sim_{sim},
         rng_{seed},
         one_way_{one_way},
         loss_a_to_b_{net::make_bernoulli(loss)},
         loss_b_to_a_{net::make_bernoulli(loss)},
-        authenticate_{authenticate},
         a_{*this, 0, 1},
-        b_{*this, 1, 0} {
-    if (authenticate) {
-      crypto::Key master{};
-      master[0] = 7;
-      keys_a_ = std::make_unique<crypto::KeyTable>(master, 0, 2);
-      keys_b_ = std::make_unique<crypto::KeyTable>(master, 1, 2);
-    }
-  }
+        b_{*this, 1, 0} {}
 
   /// Install the endpoints after constructing them against ctx_a()/ctx_b().
   void attach(overlay::LinkProtocolEndpoint* end_a, overlay::LinkProtocolEndpoint* end_b) {
@@ -107,9 +95,6 @@ class FakeLinkPair {
   sim::Duration one_way_;
   std::unique_ptr<net::LossModel> loss_a_to_b_;
   std::unique_ptr<net::LossModel> loss_b_to_a_;
-  bool authenticate_;
-  std::unique_ptr<crypto::KeyTable> keys_a_;
-  std::unique_ptr<crypto::KeyTable> keys_b_;
   Side a_;
   Side b_;
   overlay::LinkProtocolEndpoint* end_a_ = nullptr;

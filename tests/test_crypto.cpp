@@ -172,15 +172,15 @@ TEST(Keys, TableSignVerifyRoundTrip) {
   KeyTable alice(master, 0, 4);
   KeyTable bob(master, 1, 4);
   const auto msg = bytes("attack at dawn");
-  const Tag t = alice.sign(1, msg);
-  EXPECT_TRUE(bob.verify(0, msg, t));
+  const Tag t = alice.mac(1).tag(msg);
+  EXPECT_TRUE(bob.mac(0).check(msg, {}, t));
   // A third node's key fails to verify.
   KeyTable carol(master, 2, 4);
-  EXPECT_FALSE(carol.verify(0, msg, t));
+  EXPECT_FALSE(carol.mac(0).check(msg, {}, t));
   // Tampered message fails.
   auto tampered = msg;
   tampered[0] ^= 1;
-  EXPECT_FALSE(bob.verify(0, tampered, t));
+  EXPECT_FALSE(bob.mac(0).check(tampered, {}, t));
 }
 
 TEST(Keys, DifferentMastersDisagree) {
@@ -318,17 +318,17 @@ TEST(Keys, TwoSpanSignMatchesSingleSpan) {
   KeyTable t(master, 0, 4);
   std::mt19937_64 rng{0x1234};
   const auto m = random_bytes(rng, 200);
-  const Tag whole = t.sign(2, std::span<const std::uint8_t>{m});
+  const Tag whole = t.mac(2).tag(std::span<const std::uint8_t>{m});
   for (const std::size_t cut : {0u, 1u, 64u, 128u, 200u}) {
-    EXPECT_EQ(t.sign(2, std::span{m.data(), cut}, std::span{m.data() + cut, m.size() - cut}),
+    EXPECT_EQ(t.mac(2).tag(std::span{m.data(), cut}, std::span{m.data() + cut, m.size() - cut}),
               whole)
         << cut;
   }
-  EXPECT_TRUE(t.verify(2, std::span{m.data(), 64ul}, std::span{m.data() + 64, m.size() - 64},
-                       whole));
+  EXPECT_TRUE(t.mac(2).check(std::span{m.data(), 64ul},
+                             std::span{m.data() + 64, m.size() - 64}, whole));
 }
 
-// The midstate contexts against the stateless seed implementation: every
+// The table's midstates against the stateless seed implementation: every
 // tag equals hmac_tag(derive_pair_key(master, self, peer), head || body) —
 // across the one-block edge (55/56), the block edges (63/64/65) and a full
 // data frame, at several head/body cut points and for every peer.
@@ -344,15 +344,14 @@ TEST(Keys, ContextSignMatchesStatelessOracle) {
     for (std::uint32_t peer = 0; peer < table.size(); ++peer) {
       const Key key = derive_pair_key(master, kSelf, peer);
       const Tag oracle = hmac_tag(key, m);
-      const MacContext ctx = table.context(peer);
-      ASSERT_TRUE(ctx.valid());
-      EXPECT_EQ(table.sign(peer, std::span<const std::uint8_t>{m}), oracle) << len;
+      const HmacKey& mac = table.mac(peer);
+      EXPECT_EQ(mac.tag(std::span<const std::uint8_t>{m}), oracle) << len;
       for (const std::size_t cut : {0ul, 1ul, 23ul, 55ul, 64ul, len / 2, len}) {
         if (cut > len) continue;
         const std::span<const std::uint8_t> head{m.data(), cut};
         const std::span<const std::uint8_t> body{m.data() + cut, len - cut};
-        EXPECT_EQ(ctx.sign(head, body), oracle) << "len " << len << " cut " << cut;
-        EXPECT_TRUE(ctx.verify(head, body, oracle)) << "len " << len << " cut " << cut;
+        EXPECT_EQ(mac.tag(head, body), oracle) << "len " << len << " cut " << cut;
+        EXPECT_TRUE(mac.check(head, body, oracle)) << "len " << len << " cut " << cut;
       }
     }
   }

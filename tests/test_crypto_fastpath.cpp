@@ -1,12 +1,13 @@
 // The intrusion-tolerant crypto fast path: zero-allocation two-span auth
-// serialization and per-link MacContext handles. Three contracts are pinned
-// here:
+// serialization over the key table's precomputed HMAC midstates. Three
+// contracts are pinned here:
 //
-//  1. Encoding equivalence — the streaming head/suffix encoders are
-//     byte-identical to the heap-allocating seed encoders (auth_bytes /
-//     control_auth_bytes), so every tag is bit-identical to the seed.
+//  1. Encoding — the authenticated layouts match recorded bytes, and the
+//     streaming head/suffix encoders are byte-identical to the
+//     heap-allocating seed encoders (auth_bytes / control_auth_bytes), so
+//     every tag is bit-identical to the seed.
 //  2. Zero allocation — a multi-hop sign / verify / re-sign pipeline over
-//     resolved MacContexts performs no heap allocation in steady state.
+//     KeyTable::mac midstates performs no heap allocation in steady state.
 //  3. Transit keying — a forwarding node verifies with the INGRESS link's
 //     pairwise key and re-signs with the EGRESS link's key (regression for
 //     the bench hook that used links_.front() for both), and both tags equal
@@ -15,6 +16,7 @@
 
 #include <array>
 #include <random>
+#include <string>
 
 #include "crypto/keys.hpp"
 #include "overlay/frame.hpp"
@@ -65,7 +67,31 @@ LinkFrame lsa_frame(std::size_t n_links) {
   return f;
 }
 
-// ---- Encoding equivalence ----------------------------------------------------
+LinkFrame gsa_frame() {
+  LinkFrame f;
+  f.type = FrameType::kGroupState;
+  f.from = 7;
+  f.to = 2;
+  f.link = 1;
+  GroupStateAd ad;
+  ad.origin = 7;
+  ad.seq = 12;
+  ad.joined = {100, 200, 4000000000u};
+  f.control = ad;
+  return f;
+}
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+// ---- Encoding ----------------------------------------------------------------
 
 TEST(AuthEncoding, HeadPlusPayloadEqualsSeedEncoder) {
   for (const std::size_t payload : {0u, 1u, 300u, 1200u}) {
@@ -102,17 +128,7 @@ TEST(AuthEncoding, ControlHeadPlusSuffixEqualsSeedEncoder) {
 }
 
 TEST(AuthEncoding, GroupStateSuffixEqualsSeedEncoder) {
-  LinkFrame f;
-  f.type = FrameType::kGroupState;
-  f.from = 7;
-  f.to = 2;
-  f.link = 1;
-  GroupStateAd ad;
-  ad.origin = 7;
-  ad.seq = 12;
-  ad.joined = {100, 200, 4000000000u};
-  f.control = ad;
-
+  const LinkFrame f = gsa_frame();
   std::array<std::uint8_t, kControlAuthHeadBytes> head{};
   const std::size_t n = control_auth_head_bytes(f, std::span{head});
   std::vector<std::uint8_t> scratch;
@@ -124,22 +140,51 @@ TEST(AuthEncoding, GroupStateSuffixEqualsSeedEncoder) {
                          seed.begin() + static_cast<std::ptrdiff_t>(n)));
 }
 
+// The authenticated layouts byte for byte, recorded from the encoders before
+// they shared one field writer: the 64-byte data head of test_message, the
+// 27-byte control head, and the LSA (3 links) and GSA suffixes of the
+// fixtures above. The seed-encoder tests compare encoders built from the
+// same functions; these literals pin the bytes themselves.
+TEST(AuthEncoding, KnownAnswerLayouts) {
+  const Message m = test_message(0);
+  std::array<std::uint8_t, kAuthHeadBytes> head{};
+  ASSERT_EQ(auth_head_bytes(m, std::span{head}), kAuthHeadBytes);
+  EXPECT_EQ(hex(head),
+            "0300110000090032000000000039300000000003004d000000000000000df0fe"
+            "caefbeadde02040b00000000000000c0d454070000000040d2df030000000009");
+
+  LinkFrame lsa = lsa_frame(3);
+  lsa.incarnation = 6;
+  std::array<std::uint8_t, kControlAuthHeadBytes> chead{};
+  ASSERT_EQ(control_auth_head_bytes(lsa, std::span{chead}), kControlAuthHeadBytes);
+  EXPECT_EQ(hex(chead), "090204000500df030000000000004014502e000000000106000000");
+
+  std::vector<std::uint8_t> suffix;
+  control_auth_suffix_into(lsa, suffix);
+  EXPECT_EQ(hex(suffix),
+            "04001f0000000000000000000000000150973100000000008096980000000000"
+            "010090d940000000000080969800000000000201d01b50000000000080969800"
+            "00000000");
+  control_auth_suffix_into(gsa_frame(), suffix);
+  EXPECT_EQ(hex(suffix), "07000c000000000000000000000064000000c800000000286bee");
+}
+
 // Tags over the two-span streaming input equal tags over the seed buffer —
 // the end-to-end bit-identity statement.
 TEST(AuthEncoding, StreamedTagEqualsSeedTag) {
   crypto::Key master{};
   master[11] = 0x3C;
   crypto::KeyTable table(master, 0, 4);
-  const crypto::MacContext mac = table.context(2);
+  const crypto::HmacKey& mac = table.mac(2);
 
   const Message m = test_message(1200);
   std::array<std::uint8_t, kAuthHeadBytes> head{};
   const std::size_t n = auth_head_bytes(m, std::span{head});
   const auto seed = auth_bytes(m);
-  const crypto::Tag fast = mac.sign(
+  const crypto::Tag fast = mac.tag(
       std::span<const std::uint8_t>{head.data(), n},
       std::span<const std::uint8_t>{m.payload->data(), m.payload->size()});
-  EXPECT_EQ(fast, table.sign(2, std::span<const std::uint8_t>{seed}));
+  EXPECT_EQ(fast, mac.tag(std::span<const std::uint8_t>{seed}));
 
   const LinkFrame f = lsa_frame(3);
   std::array<std::uint8_t, kControlAuthHeadBytes> chead{};
@@ -147,9 +192,9 @@ TEST(AuthEncoding, StreamedTagEqualsSeedTag) {
   std::vector<std::uint8_t> suffix;
   control_auth_suffix_into(f, suffix);
   const auto cseed = control_auth_bytes(f);
-  EXPECT_EQ(mac.sign(std::span<const std::uint8_t>{chead.data(), cn},
-                     std::span<const std::uint8_t>{suffix}),
-            table.sign(2, std::span<const std::uint8_t>{cseed}));
+  EXPECT_EQ(mac.tag(std::span<const std::uint8_t>{chead.data(), cn},
+                    std::span<const std::uint8_t>{suffix}),
+            mac.tag(std::span<const std::uint8_t>{cseed}));
 }
 
 // ---- Zero allocation ---------------------------------------------------------
@@ -165,11 +210,10 @@ TEST(CryptoFastPathAlloc, MultiHopSignVerifyResignLoopIsAllocationFree) {
   crypto::KeyTable t0(master, 0, 4);
   crypto::KeyTable t1(master, 1, 4);
   crypto::KeyTable t2(master, 2, 4);
-  // Resolved once per link, as endpoints do.
-  const crypto::MacContext c01 = t0.context(1);
-  const crypto::MacContext c10 = t1.context(0);
-  const crypto::MacContext c12 = t1.context(2);
-  const crypto::MacContext c21 = t2.context(1);
+  const crypto::HmacKey& c01 = t0.mac(1);
+  const crypto::HmacKey& c10 = t1.mac(0);
+  const crypto::HmacKey& c12 = t1.mac(2);
+  const crypto::HmacKey& c21 = t2.mac(1);
 
   const Message m = test_message(1200);
   const LinkFrame f = lsa_frame(3);
@@ -183,14 +227,14 @@ TEST(CryptoFastPathAlloc, MultiHopSignVerifyResignLoopIsAllocationFree) {
   const auto hop = [&]() {
     const std::size_t n = auth_head_bytes(m, std::span{head});
     const std::span<const std::uint8_t> head_sp{head.data(), n};
-    const crypto::Tag t_origin = c01.sign(head_sp, body);       // origin -> hop 1
-    if (c10.verify(head_sp, body, t_origin)) ++ok_hops;         // hop 1 verifies
-    const crypto::Tag t_resign = c12.sign(head_sp, body);       // hop 1 -> hop 2
-    if (c21.verify(head_sp, body, t_resign)) ++ok_hops;         // hop 2 verifies
+    const crypto::Tag t_origin = c01.tag(head_sp, body);        // origin -> hop 1
+    if (c10.check(head_sp, body, t_origin)) ++ok_hops;          // hop 1 verifies
+    const crypto::Tag t_resign = c12.tag(head_sp, body);        // hop 1 -> hop 2
+    if (c21.check(head_sp, body, t_resign)) ++ok_hops;          // hop 2 verifies
     const std::size_t cn = control_auth_head_bytes(f, std::span{chead});
     control_auth_suffix_into(f, suffix_scratch);                // monotone scratch
-    const crypto::Tag t_ctrl = c01.sign(std::span<const std::uint8_t>{chead.data(), cn},
-                                        std::span<const std::uint8_t>{suffix_scratch});
+    const crypto::Tag t_ctrl = c01.tag(std::span<const std::uint8_t>{chead.data(), cn},
+                                       std::span<const std::uint8_t>{suffix_scratch});
     fold = static_cast<std::uint8_t>(fold ^ t_origin[0] ^ t_resign[0] ^ t_ctrl[0]);
   };
 

@@ -348,9 +348,9 @@ TEST(GoldenRun, ShardedRunIsRepeatable) {
 /// An AUTHENTICATED sharded overlay scenario: per-hop HMAC on IT data frames
 /// and on the signed control plane (hellos, LSAs, GSAs), overlay client
 /// flows on IT-Priority and IT-Reliable, observability on. Used to pin that
-/// the crypto fast path (midstate MacContexts, two-span streaming,
-/// flood-suffix cache) reproduces the values recorded from the seed crypto
-/// path, and that worker count stays a pure wall-clock knob.
+/// the crypto fast path (KeyTable midstates, two-span streaming, one tag
+/// point at each node's link boundary) reproduces the values recorded from
+/// the seed crypto path, and that worker count stays a pure wall-clock knob.
 ShardedGoldenResult run_it_auth_scenario(unsigned workers) {
   obs::Recorder rec{16, 1 << 12, /*system_rings=*/12};
   rec.set_sample_all(true);
@@ -432,7 +432,7 @@ ShardedGoldenResult run_it_auth_scenario(unsigned workers) {
     const auto& s = fx.overlay->node(i).stats();
     r.sent += s.originated;
     r.delivered += s.delivered_local;
-    r.dropped_total += s.control_auth_failures;  // must stay zero: keys agree
+    r.dropped_total += s.auth_failures;  // must stay zero: keys agree
   }
   r.kernel_rounds = fx.kernel->rounds();
   r.counter_entries = reg.entries();

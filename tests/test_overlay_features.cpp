@@ -1,5 +1,6 @@
-// Tests for crash-stop failures, authenticated control plane, compound-flow
-// transformers, parallel overlays, and the socket-style client API.
+// Tests for crash-stop failures, per-hop authentication (control plane and
+// IT data), compound-flow transformers, parallel overlays, and the
+// socket-style client API.
 #include <gtest/gtest.h>
 
 #include "client/flow_engine.hpp"
@@ -89,21 +90,51 @@ TEST(Crash, CrashedNodeClientsSilent) {
 struct AuthFixture {
   Simulator sim;
   GraphFixture fx;
+  crypto::Key master{};
 
   AuthFixture() {
+    master[3] = 0x77;
     GraphOptions gopts;
     gopts.node.authenticate = true;
-    gopts.node.master_key[3] = 0x77;
+    gopts.node.master_key = master;
     fx = build_graph_fixture(sim, circulant_topology(6), gopts, sim::Rng{5});
     fx.overlay->settle(3_s);
   }
+
+  /// Node 0's first neighbour and the link between them.
+  [[nodiscard]] std::pair<NodeId, LinkBit> first_link() const {
+    const auto& [nbr, e] = fx.overlay->designed_topology().neighbors(0).front();
+    return {static_cast<NodeId>(nbr), static_cast<LinkBit>(e)};
+  }
+
+  /// Hands `frame` to node 0 as a datagram from node `from`'s host.
+  void inject_at_node0(NodeId from, LinkFrame frame) {
+    net::Datagram d;
+    d.src = fx.hosts[from];
+    d.dst = fx.hosts[0];
+    d.dst_port = 8100;
+    d.payload = std::move(frame);
+    fx.internet->send(std::move(d));
+  }
 };
+
+/// An IT-Priority message from `origin` to port 7 on node 0.
+Message it_message_to_node0(NodeId origin, std::uint64_t n) {
+  Message m;
+  m.hdr.origin = origin;
+  m.hdr.dest = Destination::unicast(0, 7);
+  m.hdr.origin_id = (std::uint64_t{origin} << 48) | (std::uint64_t{1} << 39) | n;
+  m.hdr.flow_seq = n;
+  m.hdr.link_protocol = LinkProtocol::kITPriority;
+  m.payload = make_payload(100);
+  return m;
+}
 
 TEST(ControlAuth, LegitimateControlTrafficFlows) {
   AuthFixture f;
   // Hellos and LSAs verified fine: topology is fully up, no auth failures.
   for (NodeId n = 0; n < f.fx.overlay->size(); ++n) {
-    EXPECT_EQ(f.fx.overlay->node(n).stats().control_auth_failures, 0u);
+    EXPECT_EQ(f.fx.overlay->node(n).stats().auth_failures, 0u);
   }
   const auto& g = f.fx.overlay->designed_topology();
   for (topo::EdgeIndex e = 0; e < g.num_edges(); ++e) {
@@ -138,7 +169,7 @@ TEST(ControlAuth, ForgedLsaInjectionRejected) {
   f.fx.internet->send(std::move(d));
   f.sim.run_for(1_s);
 
-  EXPECT_GE(f.fx.overlay->node(0).stats().control_auth_failures, 1u);
+  EXPECT_GE(f.fx.overlay->node(0).stats().auth_failures, 1u);
   // Topology unaffected: node 3's links still up, stored seq untouched.
   EXPECT_LT(f.fx.overlay->node(0).topology().stored_seq(3), 1'000'000u);
   for (const auto& [nbr, e] : g.neighbors(3)) {
@@ -171,6 +202,104 @@ TEST(ControlAuth, UnauthenticatedDeploymentAcceptsPlainControl) {
   fx.internet->send(std::move(d));
   sim.run_for(1_s);
   EXPECT_EQ(fx.overlay->node(0).topology().stored_seq(3), 1'000'000u);
+}
+
+// ---- Per-hop authentication at the link boundary ---------------------------------
+
+// IT-Priority data frames are checked where they enter the node, so a
+// forged or tampered frame never reaches the endpoint or the routing level.
+TEST(ItPriority, AuthenticationRejectsTamperedFrames) {
+  AuthFixture f;
+  const auto [peer, link] = f.first_link();
+  std::uint64_t delivered = 0;
+  f.fx.overlay->node(0).connect(7).set_handler(
+      [&](const Message&, sim::Duration) { ++delivered; });
+  ServiceSpec spec;
+  spec.link_protocol = LinkProtocol::kITPriority;
+  f.fx.overlay->node(peer).connect(8).send(Destination::unicast(0, 7), make_payload(100), spec);
+  f.sim.run_for(1_s);
+  EXPECT_EQ(delivered, 1u);
+  const NodeStats& stats = f.fx.overlay->node(0).stats();
+
+  LinkFrame frame;
+  frame.link = link;
+  frame.from = peer;
+  frame.to = 0;
+  frame.proto = LinkProtocol::kITPriority;
+  frame.type = FrameType::kData;
+
+  // Inject a forged frame directly (no valid tag).
+  LinkFrame forged = frame;
+  forged.msg = it_message_to_node0(peer, 2);
+  forged.authenticated = false;
+  f.inject_at_node0(peer, forged);
+  f.sim.run_for(1_s);
+  EXPECT_EQ(delivered, 1u);  // rejected
+  EXPECT_EQ(stats.auth_failures, 1u);
+
+  // And a frame whose header was tampered after signing with the real
+  // pairwise key.
+  LinkFrame tampered = frame;
+  const Message m3 = it_message_to_node0(peer, 3);
+  tampered.msg = m3;
+  tampered.auth = crypto::hmac_tag(crypto::derive_pair_key(f.master, peer, 0), auth_bytes(m3));
+  tampered.authenticated = true;
+  tampered.msg->hdr.priority = 99;  // forged priority escalation
+  f.inject_at_node0(peer, tampered);
+  f.sim.run_for(1_s);
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(stats.auth_failures, 2u);
+}
+
+// Regression: one datagram that claimed the peer's incarnation + 1 without a
+// valid tag used to reset the link, after which every genuine frame from the
+// peer was dropped as a pre-crash ghost and the link stayed down until the
+// peer really restarted. Untagged frames may only ride the incarnation
+// learned from tagged ones, and tagged frames are checked before the
+// incarnation discipline.
+TEST(LinkAuth, UntaggedIncarnationBumpCannotCutLink) {
+  enum class Variant { kItPriorityUntagged, kItReliableAck, kBestEffortData, kWrongKey };
+  for (const Variant v : {Variant::kItPriorityUntagged, Variant::kItReliableAck,
+                          Variant::kBestEffortData, Variant::kWrongKey}) {
+    SCOPED_TRACE(static_cast<int>(v));
+    AuthFixture f;
+    const auto [peer, link] = f.first_link();
+    LinkFrame frame;
+    frame.link = link;
+    frame.from = peer;
+    frame.to = 0;
+    frame.incarnation = 1;  // "the peer restarted"
+    switch (v) {
+      case Variant::kItPriorityUntagged:
+        frame.proto = LinkProtocol::kITPriority;
+        frame.msg = it_message_to_node0(peer, 1);
+        break;
+      case Variant::kItReliableAck:
+        frame.proto = LinkProtocol::kITReliable;
+        frame.type = FrameType::kAck;
+        frame.seq = 1;
+        break;
+      case Variant::kBestEffortData:
+        frame.msg = it_message_to_node0(peer, 1);
+        frame.msg->hdr.link_protocol = LinkProtocol::kBestEffort;
+        break;
+      case Variant::kWrongKey:
+        frame.proto = LinkProtocol::kITPriority;
+        frame.msg = it_message_to_node0(peer, 1);
+        frame.auth = crypto::hmac_tag(crypto::derive_pair_key(crypto::Key{}, peer, 0),
+                                      auth_bytes(*frame.msg));
+        frame.authenticated = true;
+        break;
+    }
+    f.inject_at_node0(peer, frame);
+    f.sim.run_for(3_s);
+
+    const auto& node0 = f.fx.overlay->node(0);
+    EXPECT_TRUE(node0.link_health(link).up);
+    EXPECT_TRUE(f.fx.overlay->node(2).topology().link_up(link));
+    EXPECT_EQ(node0.stats().peer_restarts_seen, 0u);
+    EXPECT_EQ(node0.stats().auth_failures, 1u);
+  }
 }
 
 // ---- Compound flows (transformers) --------------------------------------------
@@ -320,8 +449,8 @@ TEST(ParallelOverlays, TwoOverlaysShareMachinesIndependently) {
   EXPECT_EQ(sink_a.received(), 1u);
   EXPECT_EQ(sink_b.received(), 1u);
   // No cross-talk: each overlay saw only its own control plane.
-  EXPECT_EQ(overlay_a.node(0).stats().control_auth_failures, 0u);
-  EXPECT_EQ(overlay_b.node(0).stats().control_auth_failures, 0u);
+  EXPECT_EQ(overlay_a.node(0).stats().auth_failures, 0u);
+  EXPECT_EQ(overlay_b.node(0).stats().auth_failures, 0u);
 }
 
 // ---- Socket API ---------------------------------------------------------------------

@@ -172,8 +172,6 @@ class CaptureCtx final : public LinkContext {
   [[nodiscard]] NodeId self() const override { return 1; }
   [[nodiscard]] NodeId peer() const override { return 0; }
   [[nodiscard]] LinkBit link() const override { return 0; }
-  [[nodiscard]] bool authenticate() const override { return false; }
-  [[nodiscard]] const crypto::KeyTable* keys() const override { return nullptr; }
   void count_protocol_drop(LinkProtocol) override {}
 
   std::vector<LinkFrame> sent;

@@ -156,8 +156,6 @@ class DirectLink final : public LinkContext {
   [[nodiscard]] NodeId self() const override { return self_; }
   [[nodiscard]] NodeId peer() const override { return peer_; }
   [[nodiscard]] LinkBit link() const override { return 0; }
-  [[nodiscard]] bool authenticate() const override { return false; }
-  [[nodiscard]] const crypto::KeyTable* keys() const override { return nullptr; }
   void count_protocol_drop(LinkProtocol) override {}
 
   std::uint64_t delivered = 0;
