@@ -104,12 +104,6 @@ FlowEngine::FlowEngine(sim::Simulator& sim, overlay::ClientEndpoint& client,
   start();
 }
 
-FlowEngine::~FlowEngine() {
-  if (timer_ != sim::kInvalidEventId) (void)sim_.cancel(timer_);
-  if (start_timer_ != sim::kInvalidEventId) (void)sim_.cancel(start_timer_);
-  if (arrival_timer_ != sim::kInvalidEventId) (void)sim_.cancel(arrival_timer_);
-}
-
 std::uint32_t FlowEngine::acquire_slot() {
   if (!free_list_.empty()) {
     const std::uint32_t idx = free_list_.back();
@@ -211,16 +205,15 @@ std::int64_t FlowEngine::peek_next_fire() const {
 void FlowEngine::arm() {
   const std::int64_t next = peek_next_fire();
   if (next == kNever) return;  // idle; a later add_flow / arrival re-arms
-  if (timer_ != sim::kInvalidEventId) {
+  if (timers_.pending(timer_)) {
     if (armed_at_ <= next) return;  // existing wake is early enough
-    (void)sim_.cancel(timer_);
+    timers_.cancel(timer_);
   }
   armed_at_ = next;
-  timer_ = sim_.schedule_at(sim::TimePoint::from_ns(next), [this] { on_timer(); });
+  timer_ = timers_.schedule_at(sim::TimePoint::from_ns(next), [this] { on_timer(); });
 }
 
 void FlowEngine::on_timer() {
-  timer_ = sim::kInvalidEventId;
   armed_at_ = kNever;
   process_due();
   arm();
@@ -322,24 +315,22 @@ void FlowEngine::start() {
     SON_DCHECK(opts_.mean_lifetime > sim::Duration::zero() ||
                    opts_.curve.kind == LoadCurve::Kind::kConstant,
                "non-constant load curves need flow churn (mean_lifetime > 0)");
-    start_timer_ = sim_.schedule_at(opts_.start, [this] { on_start(); });
+    timers_.schedule_at(opts_.start, [this] { on_start(); });
   } else {
     arm();  // population was built with add_flow()
   }
 }
 
 void FlowEngine::on_start() {
-  start_timer_ = sim::kInvalidEventId;
   activate_batch(opts_.flows);
   if (opts_.mean_lifetime > sim::Duration::zero()) {
-    arrival_timer_ = sim_.schedule(opts_.arrival_batch, [this] { on_arrival_tick(); });
+    timers_.schedule(opts_.arrival_batch, [this] { on_arrival_tick(); });
   }
   process_due();  // first packets go out at the start instant itself
   arm();
 }
 
 void FlowEngine::on_arrival_tick() {
-  arrival_timer_ = sim::kInvalidEventId;
   const sim::TimePoint now = sim_.now();
   if (now >= opts_.stop) return;
   // Population target / mean lifetime = steady-state arrival rate (Little's
@@ -350,7 +341,7 @@ void FlowEngine::on_arrival_tick() {
                      opts_.arrival_batch.to_seconds_f();
   const std::uint64_t k = poisson_draw(lam);
   if (k > 0) activate_batch(k);
-  arrival_timer_ = sim_.schedule(opts_.arrival_batch, [this] { on_arrival_tick(); });
+  timers_.schedule(opts_.arrival_batch, [this] { on_arrival_tick(); });
   if (k > 0) {
     process_due();
     arm();

@@ -39,6 +39,7 @@
 #include "sim/hot.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timers.hpp"
 
 namespace son::client {
 
@@ -126,7 +127,6 @@ class FlowEngine {
   FlowEngine(sim::Simulator& sim, overlay::ClientEndpoint& client, const FlowClass& cls,
              const overlay::Destination& dest, sim::TimePoint first, sim::TimePoint stop,
              sim::Rng rng = sim::Rng{});
-  ~FlowEngine();
   FlowEngine(const FlowEngine&) = delete;
   FlowEngine& operator=(const FlowEngine&) = delete;
 
@@ -238,10 +238,9 @@ class FlowEngine {
   std::uint64_t order_counter_ = 0;
   std::uint32_t tag_counter_ = 0;
 
-  sim::EventId timer_ = sim::kInvalidEventId;
+  sim::Timers timers_{sim_};
+  sim::EventId timer_ = sim::kInvalidEventId;  // the calendar wake
   std::int64_t armed_at_ = kNever;
-  sim::EventId start_timer_ = sim::kInvalidEventId;
-  sim::EventId arrival_timer_ = sim::kInvalidEventId;
   bool started_ = false;
 
   std::size_t active_ = 0;

@@ -19,7 +19,7 @@ namespace {
       "  --shards N      sharded-kernel workers per trial (default 1;\n"
       "                  0 = hardware concurrency; results never depend on N)\n"
       "  --flows N       concurrent flows per trial via the flyweight flow\n"
-      "                  engine (default 0 = legacy per-object senders)\n"
+      "                  engine (default 0 = the bench's own flow counts)\n"
       "  --load-curve C  arrival-rate curve for --flows workloads:\n"
       "                  const | diurnal | flash (default const)\n"
       "  --churn R[,M]   node crash-recover churn: R cycles/sec with spacing\n"

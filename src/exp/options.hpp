@@ -32,7 +32,7 @@ struct Options {
   /// Results are worker-count-invariant — this is purely a wall-clock knob.
   int shards = 1;
   /// Concurrent flows per trial, driven by client::FlowEngine flow tables
-  /// (the --flows flag). 0 = the bench's legacy per-object senders.
+  /// (the --flows flag). 0 = the bench's own flow counts.
   std::int64_t flows = 0;
   /// Arrival-rate curve for FlowEngine workloads (the --load-curve flag):
   /// "const", "diurnal" or "flash". Validated at parse time.

@@ -4,7 +4,7 @@ namespace son::net {
 
 CrossTraffic::CrossTraffic(sim::Simulator& sim, Internet& internet, const Options& opts,
                            sim::Rng rng)
-    : sim_{sim}, internet_{internet}, opts_{opts}, rng_{rng} {
+    : sim_{sim}, timers_{sim}, internet_{internet}, opts_{opts}, rng_{rng} {
   const auto [a, b] = internet_.link_endpoints(opts_.link);
   const RouterId to = (opts_.from == a) ? b : a;
   // Fat, loss-free access links: the congested resource is the backbone link
@@ -17,13 +17,10 @@ CrossTraffic::CrossTraffic(sim::Simulator& sim, Internet& internet, const Option
   internet_.attach_host(src_, opts_.from, access);
   internet_.attach_host(dst_, to, access);
   internet_.bind(dst_, [this](const Datagram&) { ++received_; });
-  timer_ = sim_.schedule_at(opts_.start, [this]() { tick(); });
+  timers_.schedule_at(opts_.start, [this]() { tick(); });
 }
 
-CrossTraffic::~CrossTraffic() { sim_.cancel(timer_); }
-
 void CrossTraffic::tick() {
-  timer_ = sim::kInvalidEventId;
   if (sim_.now() >= opts_.stop) return;
   Datagram d;
   d.src = src_;
@@ -33,8 +30,8 @@ void CrossTraffic::tick() {
   ++sent_;
   // Poisson arrivals at the configured bit rate.
   const double pps = opts_.rate_bps / (8.0 * opts_.packet_bytes);
-  timer_ = sim_.schedule(sim::Duration::from_seconds_f(rng_.exponential(1.0 / pps)),
-                         [this]() { tick(); });
+  timers_.schedule(sim::Duration::from_seconds_f(rng_.exponential(1.0 / pps)),
+                   [this]() { tick(); });
 }
 
 }  // namespace son::net

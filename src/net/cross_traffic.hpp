@@ -13,6 +13,7 @@
 #include "net/internet.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timers.hpp"
 
 namespace son::net {
 
@@ -31,7 +32,6 @@ class CrossTraffic {
 
   /// Attaches two stub hosts at the link's endpoints and schedules the load.
   CrossTraffic(sim::Simulator& sim, Internet& internet, const Options& opts, sim::Rng rng);
-  ~CrossTraffic();
   CrossTraffic(const CrossTraffic&) = delete;
   CrossTraffic& operator=(const CrossTraffic&) = delete;
 
@@ -42,6 +42,7 @@ class CrossTraffic {
   void tick();
 
   sim::Simulator& sim_;
+  sim::Timers timers_;
   Internet& internet_;
   Options opts_;
   sim::Rng rng_;
@@ -49,7 +50,6 @@ class CrossTraffic {
   HostId dst_ = kInvalidHost;
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
-  sim::EventId timer_ = sim::kInvalidEventId;
 };
 
 }  // namespace son::net

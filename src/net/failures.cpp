@@ -3,23 +3,23 @@
 namespace son::net {
 
 void FailureScript::cut_link(sim::TimePoint at, LinkId link, sim::TimePoint restore) {
-  sim_.schedule_at(at, [this, link]() { net_.set_link_up(link, false); });
+  timers_.schedule_at(at, [this, link]() { net_.set_link_up(link, false); });
   if (restore > at) {
-    sim_.schedule_at(restore, [this, link]() { net_.set_link_up(link, true); });
+    timers_.schedule_at(restore, [this, link]() { net_.set_link_up(link, true); });
   }
 }
 
 void FailureScript::cut_router(sim::TimePoint at, RouterId router, sim::TimePoint restore) {
-  sim_.schedule_at(at, [this, router]() { net_.set_router_up(router, false); });
+  timers_.schedule_at(at, [this, router]() { net_.set_router_up(router, false); });
   if (restore > at) {
-    sim_.schedule_at(restore, [this, router]() { net_.set_router_up(router, true); });
+    timers_.schedule_at(restore, [this, router]() { net_.set_router_up(router, true); });
   }
 }
 
 void FailureScript::isp_outage(sim::TimePoint at, IspId isp, sim::TimePoint restore) {
-  sim_.schedule_at(at, [this, isp]() { net_.set_isp_up(isp, false); });
+  timers_.schedule_at(at, [this, isp]() { net_.set_isp_up(isp, false); });
   if (restore > at) {
-    sim_.schedule_at(restore, [this, isp]() { net_.set_isp_up(isp, true); });
+    timers_.schedule_at(restore, [this, isp]() { net_.set_isp_up(isp, true); });
   }
 }
 
@@ -38,7 +38,7 @@ void FailureScript::host_outage(sim::TimePoint from, sim::TimePoint until, HostI
 }
 
 void FailureScript::at(sim::TimePoint t, std::function<void()> fn) {
-  sim_.schedule_at(t, std::move(fn));
+  timers_.schedule_at(t, std::move(fn));
 }
 
 }  // namespace son::net

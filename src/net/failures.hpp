@@ -2,19 +2,21 @@
 //
 // Wraps an Internet with schedule-at-time failure/repair primitives so that
 // benchmarks read as scenario scripts ("cut the Chicago–Denver fiber at
-// t=10s, restore at t=70s").
+// t=10s, restore at t=70s"). Destroying a script cancels the steps it has
+// not yet run.
 #pragma once
 
 #include <functional>
 
 #include "net/internet.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timers.hpp"
 
 namespace son::net {
 
 class FailureScript {
  public:
-  FailureScript(sim::Simulator& sim, Internet& internet) : sim_{sim}, net_{internet} {}
+  FailureScript(sim::Simulator& sim, Internet& internet) : timers_{sim}, net_{internet} {}
 
   /// Link goes down at `at`; comes back at `restore` if restore > at.
   void cut_link(sim::TimePoint at, LinkId link,
@@ -38,7 +40,7 @@ class FailureScript {
   void at(sim::TimePoint t, std::function<void()> fn);
 
  private:
-  sim::Simulator& sim_;
+  sim::Timers timers_;
   Internet& net_;
 };
 

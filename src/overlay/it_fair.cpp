@@ -6,8 +6,6 @@ namespace son::overlay {
 
 // ---- Shared base -------------------------------------------------------------
 
-ItEndpointBase::~ItEndpointBase() { ctx_.simulator().cancel(pump_timer_); }
-
 sim::Duration ItEndpointBase::pump_interval() const {
   return sim::Duration::from_seconds_f(1.0 / cfg_.it_egress_msgs_per_sec);
 }
@@ -30,11 +28,8 @@ bool ItEndpointBase::enqueue(Message m) {
 }
 
 void ItEndpointBase::arm_pump() {
-  if (pump_timer_ != sim::kInvalidEventId) return;
-  pump_timer_ = ctx_.simulator().schedule(pump_interval(), [this]() {
-    pump_timer_ = sim::kInvalidEventId;
-    pump();
-  });
+  if (timers_.pending(pump_timer_)) return;
+  pump_timer_ = timers_.schedule(pump_interval(), [this]() { pump(); });
 }
 
 void ItEndpointBase::pump() {
@@ -100,8 +95,6 @@ void ItPriorityEndpoint::on_frame(const LinkFrame& f) {
 
 // ---- Intrusion-Tolerant Reliable ----------------------------------------------
 
-ItReliableEndpoint::~ItReliableEndpoint() { ctx_.simulator().cancel(retransmit_timer_); }
-
 bool ItReliableEndpoint::handle_full_queue(Queue&, Message) {
   // "It stops accepting new messages for that flow, creating backpressure."
   ++stats_.rejected_full;
@@ -128,12 +121,9 @@ bool ItReliableEndpoint::eligible(std::uint64_t key) const {
 }
 
 void ItReliableEndpoint::arm_retransmit_timer() {
-  if (retransmit_timer_ != sim::kInvalidEventId || in_flight_.empty()) return;
+  if (timers_.pending(retransmit_timer_) || in_flight_.empty()) return;
   const sim::Duration rto = std::max(kMinRto, ctx_.rtt_estimate() * kRtoMultiplier);
-  retransmit_timer_ = ctx_.simulator().schedule(rto, [this]() {
-    retransmit_timer_ = sim::kInvalidEventId;
-    on_retransmit_timer();
-  });
+  retransmit_timer_ = timers_.schedule(rto, [this]() { on_retransmit_timer(); });
 }
 
 void ItReliableEndpoint::on_retransmit_timer() {
@@ -183,10 +173,7 @@ void ItReliableEndpoint::on_frame(const LinkFrame& f) {
     }
     case FrameType::kAck: {
       in_flight_.erase(f.seq);
-      if (in_flight_.empty() && retransmit_timer_ != sim::kInvalidEventId) {
-        ctx_.simulator().cancel(retransmit_timer_);
-        retransmit_timer_ = sim::kInvalidEventId;
-      }
+      if (in_flight_.empty()) timers_.cancel(retransmit_timer_);
       break;
     }
     case FrameType::kBusy: {

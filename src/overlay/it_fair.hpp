@@ -36,7 +36,6 @@ namespace son::overlay {
 class ItEndpointBase : public LinkProtocolEndpoint {
  public:
   using LinkProtocolEndpoint::LinkProtocolEndpoint;
-  ~ItEndpointBase() override;
 
   struct Stats {
     std::uint64_t data_sent = 0;
@@ -102,7 +101,6 @@ class ItReliableEndpoint final : public ItEndpointBase {
  public:
   ItReliableEndpoint(LinkContext& ctx, const LinkProtocolConfig& cfg)
       : ItEndpointBase(ctx, cfg) {}
-  ~ItReliableEndpoint() override;
 
   bool send(Message msg) override;
   void on_frame(const LinkFrame& f) override;

@@ -14,6 +14,7 @@
 #include "overlay/frame.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timers.hpp"
 
 namespace son::overlay {
 
@@ -88,7 +89,7 @@ struct LinkProtocolConfig {
 class LinkProtocolEndpoint {
  public:
   explicit LinkProtocolEndpoint(LinkContext& ctx, const LinkProtocolConfig& cfg)
-      : ctx_{ctx}, cfg_{cfg} {}
+      : ctx_{ctx}, cfg_{cfg}, timers_{ctx.simulator()} {}
   virtual ~LinkProtocolEndpoint() = default;
   LinkProtocolEndpoint(const LinkProtocolEndpoint&) = delete;
   LinkProtocolEndpoint& operator=(const LinkProtocolEndpoint&) = delete;
@@ -114,6 +115,8 @@ class LinkProtocolEndpoint {
 
   LinkContext& ctx_;
   LinkProtocolConfig cfg_;
+  /// Every timer of the endpoint; a reset endpoint cancels them all.
+  sim::Timers timers_;
 };
 
 /// Factory covering every protocol in Fig. 2.

@@ -128,12 +128,6 @@ OverlayNode::OverlayNode(net::Internet& internet, net::HostId host, NodeId id,
                  [this](const net::Datagram& d) { on_datagram(d); });
 }
 
-OverlayNode::~OverlayNode() {
-  sim_.cancel(hello_timer_);
-  sim_.cancel(refresh_timer_);
-  for (const auto id : flood_timers_) sim_.cancel(id);
-}
-
 void OverlayNode::start() {
   if (started_) return;
   started_ = true;
@@ -142,8 +136,8 @@ void OverlayNode::start() {
   // Deterministic per-node jitter de-synchronizes hello ticks across nodes.
   const auto jitter = sim::Duration::from_millis_f(
       rng_.uniform() * cfg_.hello_interval.to_millis_f());
-  hello_timer_ = sim_.schedule(jitter, [this]() { hello_tick(); });
-  refresh_timer_ = sim_.schedule(kStateRefresh + jitter, [this]() { state_refresh_tick(); });
+  timers_.schedule(jitter, [this]() { hello_tick(); });
+  timers_.schedule(kStateRefresh + jitter, [this]() { state_refresh_tick(); });
 }
 
 // ---- Session level -------------------------------------------------------------
@@ -403,11 +397,10 @@ bool OverlayNode::route_message_impl(Message msg, LinkBit arrived_on, bool skip_
         return true;  // silently swallowed
       }
       if (compromise_.added_delay > sim::Duration::zero()) {
-        sim_.schedule(
-            compromise_.added_delay,
-            timer_guard_.wrap([this, msg = std::move(msg), arrived_on]() {
-              route_message_impl(msg, arrived_on, /*skip_compromise=*/true);
-            }));
+        timers_.schedule(compromise_.added_delay,
+                         [this, msg = std::move(msg), arrived_on]() {
+                           route_message_impl(msg, arrived_on, /*skip_compromise=*/true);
+                         });
         return true;
       }
     }
@@ -563,13 +556,12 @@ void OverlayNode::send_frame_on_link(NeighborLink& nl, LinkFrame f) {
   ++stats_.frames_sent;
 
   // The user-level stack traversal cost (§II-D): well under 1 ms per node.
-  sim_.schedule(kProcessingDelay,
-                timer_guard_.wrap([this, d = std::move(d), attach]() mutable {
-                  net::Internet::SendOptions opts;
-                  opts.src_attach = attach.local;
-                  opts.dst_attach = attach.remote;
-                  internet_.send(std::move(d), opts);
-                }));
+  timers_.schedule(kProcessingDelay, [this, d = std::move(d), attach]() mutable {
+    net::Internet::SendOptions opts;
+    opts.src_attach = attach.local;
+    opts.dst_attach = attach.remote;
+    internet_.send(std::move(d), opts);
+  });
 }
 
 void OverlayNode::set_crashed(bool crashed) { crashed_ = crashed; }
@@ -594,7 +586,6 @@ void OverlayNode::restart() {
     nl.adv_up = true;
     nl.adv_latency_ms = 0.0;
     nl.adv_loss = 0.0;
-    nl.peer_incarnation = 0;  // relearned from the peer's next frame
     for (ChannelState& ch : nl.channels) {
       ch.prober = LivenessProber{prober_cfg};
       ch.next_hello_seq = 1;
@@ -679,20 +670,20 @@ void OverlayNode::on_frame(const LinkFrame& f) {
     ++stats_.auth_failures;
     return;
   }
+  // Every frame, control frames included, must come on one of our links
+  // from that link's peer: a key only vouches for the sender it belongs to.
+  NeighborLink* nl = link_by_bit(f.link);
+  if (nl == nullptr || f.from != nl->spec.peer) return;
   // Incarnation discipline runs after authentication (a forged frame must
   // not reset link state) and before any handler: ghosts from a neighbor's
   // previous life are dropped, and a bumped incarnation resets the link.
-  if (NeighborLink* nl = link_by_bit(f.link);
-      nl != nullptr && f.from == nl->spec.peer &&
-      !admit_peer_incarnation(*nl, f, /*trusted=*/keys_ == nullptr || tagged)) {
-    return;
-  }
+  if (!admit_peer_incarnation(*nl, f, /*trusted=*/keys_ == nullptr || tagged)) return;
   switch (f.type) {
     case FrameType::kHello:
-      handle_hello(f);
+      handle_hello(*nl, f);
       return;
     case FrameType::kHelloReply:
-      handle_hello_reply(f);
+      handle_hello_reply(*nl, f);
       return;
     case FrameType::kLsa:
       handle_lsa(f);
@@ -703,8 +694,6 @@ void OverlayNode::on_frame(const LinkFrame& f) {
     default:
       break;
   }
-  NeighborLink* nl = link_by_bit(f.link);
-  if (nl == nullptr || f.from != nl->spec.peer) return;  // not one of our links
   endpoint(*nl, f.proto).on_frame(f);
 }
 
@@ -736,7 +725,7 @@ void OverlayNode::hello_tick() {
     evaluate_link(nl);
   }
   refresh_link_ad(/*force_flood=*/false);
-  hello_timer_ = sim_.schedule(cfg_.hello_interval, [this]() { hello_tick(); });
+  timers_.schedule(cfg_.hello_interval, [this]() { hello_tick(); });
 }
 
 void OverlayNode::send_hello(NeighborLink& nl, std::size_t channel_idx) {
@@ -753,9 +742,7 @@ void OverlayNode::send_hello(NeighborLink& nl, std::size_t channel_idx) {
   send_frame_on_link(nl, std::move(f));
 }
 
-void OverlayNode::handle_hello(const LinkFrame& f) {
-  NeighborLink* nl = link_by_bit(f.link);
-  if (nl == nullptr || f.from != nl->spec.peer) return;
+void OverlayNode::handle_hello(NeighborLink& nl, const LinkFrame& f) {
   LinkFrame reply;
   reply.link = f.link;
   reply.from = id_;
@@ -764,14 +751,12 @@ void OverlayNode::handle_hello(const LinkFrame& f) {
   reply.hello_seq = f.hello_seq;
   reply.t_sent = f.t_sent;  // echo for RTT measurement
   reply.channel = f.channel;
-  send_frame_on_link(*nl, std::move(reply));
+  send_frame_on_link(nl, std::move(reply));
 }
 
-void OverlayNode::handle_hello_reply(const LinkFrame& f) {
-  NeighborLink* nl = link_by_bit(f.link);
-  if (nl == nullptr || f.from != nl->spec.peer) return;
-  if (f.channel >= nl->channels.size()) return;
-  ChannelState& ch = nl->channels[f.channel];
+void OverlayNode::handle_hello_reply(NeighborLink& nl, const LinkFrame& f) {
+  if (f.channel >= nl.channels.size()) return;
+  ChannelState& ch = nl.channels[f.channel];
   const auto it = ch.outstanding.find(f.hello_seq);
   if (it == ch.outstanding.end()) return;  // late reply past expiry
   ch.outstanding.erase(it);
@@ -781,7 +766,7 @@ void OverlayNode::handle_hello_reply(const LinkFrame& f) {
   ch.window.push_back(true);
   if (ch.window.size() > kHelloWindow) ch.window.pop_front();
   if (ch.prober.on_success()) {
-    evaluate_link(*nl);
+    evaluate_link(nl);
     refresh_link_ad(/*force_flood=*/false);
   }
 }
@@ -857,13 +842,12 @@ void OverlayNode::refresh_link_ad(bool force_flood) {
 
 void OverlayNode::flood_control(FrameType type, const net::PayloadRef& ad, LinkBit arrived_on) {
   ++stats_.lsa_floods;
-  sim_.forget_fired(flood_timers_);  // the destructor cancels the rest
   for (auto& nl : links_) {
     if (nl.spec.link == arrived_on) continue;
     for (std::uint32_t copy = 0; copy < kFloodCopies; ++copy) {
       const sim::Duration at = kFloodSpacing * static_cast<std::int64_t>(copy);
       const LinkBit bit = nl.spec.link;
-      flood_timers_.push_back(sim_.schedule(at, [this, bit, type, ad]() {
+      timers_.schedule(at, [this, bit, type, ad]() {
         NeighborLink* nl2 = link_by_bit(bit);
         if (nl2 == nullptr) return;
         LinkFrame f;
@@ -873,7 +857,7 @@ void OverlayNode::flood_control(FrameType type, const net::PayloadRef& ad, LinkB
         f.type = type;
         f.control = ad;
         send_frame_on_link(*nl2, std::move(f));
-      }));
+      });
     }
   }
 }
@@ -902,7 +886,7 @@ void OverlayNode::state_refresh_tick() {
   sweep_departed_origins();
   refresh_link_ad(/*force_flood=*/true);
   refresh_group_ad();
-  refresh_timer_ = sim_.schedule(kStateRefresh, [this]() { state_refresh_tick(); });
+  timers_.schedule(kStateRefresh, [this]() { state_refresh_tick(); });
 }
 
 // ---- Introspection -------------------------------------------------------------------

@@ -24,7 +24,7 @@
 #include "overlay/routing.hpp"
 #include "sim/hot.hpp"
 #include "sim/random.hpp"
-#include "sim/timer_guard.hpp"
+#include "sim/timers.hpp"
 
 namespace son::overlay {
 
@@ -172,7 +172,6 @@ class OverlayNode {
   OverlayNode(net::Internet& internet, net::HostId host, NodeId id,
               topo::Graph overlay_topology, std::vector<NeighborSpec> neighbors,
               NodeConfig cfg, sim::Rng rng);
-  ~OverlayNode();
   OverlayNode(const OverlayNode&) = delete;
   OverlayNode& operator=(const OverlayNode&) = delete;
 
@@ -223,8 +222,9 @@ class OverlayNode {
   /// sequence numbers at their initial values, resets every link's channel
   /// probers and protocol endpoints, forgets learned topology/group/
   /// membership state (relearned from floods within ~1 s), and
-  /// immediately re-advertises under the new incarnation. Also clears the
-  /// crashed flag, so crash(t) + restart(t') scripts a crash-recover cycle.
+  /// immediately re-advertises under the new incarnation. What it knew of
+  /// its peers' incarnations stays. Also clears the crashed flag, so
+  /// crash(t) + restart(t') scripts a crash-recover cycle.
   void restart();
   /// This node's current incarnation number (0 until the first restart).
   [[nodiscard]] std::uint32_t incarnation() const { return incarnation_; }
@@ -282,9 +282,8 @@ class OverlayNode {
     /// (receive windows, ack state) is void and the endpoints are reset.
     /// Frames from an older incarnation are dropped as pre-crash ghosts.
     std::uint32_t peer_incarnation = 0;
-    // ctx must outlive the endpoints (their destructors cancel timers
-    // through it), so it is declared first.
-    std::unique_ptr<class NodeLinkContext> ctx;
+    // The endpoints hold ctx, so it is declared first.
+    std::unique_ptr<LinkContext> ctx;
     std::map<LinkProtocol, std::unique_ptr<LinkProtocolEndpoint>> endpoints;
   };
 
@@ -359,8 +358,8 @@ class OverlayNode {
   // --- Hello protocol & link health ---
   void hello_tick();
   void send_hello(NeighborLink& nl, std::size_t channel_idx);
-  void handle_hello(const LinkFrame& f);
-  void handle_hello_reply(const LinkFrame& f);
+  void handle_hello(NeighborLink& nl, const LinkFrame& f);
+  void handle_hello_reply(NeighborLink& nl, const LinkFrame& f);
   void evaluate_link(NeighborLink& nl);
   [[nodiscard]] double channel_loss(const ChannelState& ch) const;
 
@@ -405,12 +404,8 @@ class OverlayNode {
   std::uint64_t next_origin_counter_ = 1;
   std::uint32_t incarnation_ = 0;
   std::vector<NodeId> departed_scratch_;
-  sim::EventId hello_timer_ = sim::kInvalidEventId;
-  sim::EventId refresh_timer_ = sim::kInvalidEventId;
-  std::vector<sim::EventId> flood_timers_;
-  // Makes fire-and-forget delay hops (compromise delay, processing delay)
-  // inert after this node is destroyed; their EventIds are not tracked.
-  sim::TimerGuard timer_guard_;
+  // Hello and refresh ticks, flood copies and the per-frame delay hops.
+  sim::Timers timers_{sim_};
   bool started_ = false;
 
   NodeStats stats_;

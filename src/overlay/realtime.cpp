@@ -4,14 +4,6 @@
 
 namespace son::overlay {
 
-RealtimeEndpointBase::~RealtimeEndpointBase() {
-  auto& sim = ctx_.simulator();
-  for (const auto id : burst_timers_) sim.cancel(id);
-  for (auto& [seq, p] : pending_) {
-    for (const auto id : p.request_timers) sim.cancel(id);
-  }
-}
-
 // ---- Sender role ------------------------------------------------------------
 
 bool RealtimeEndpointBase::send(Message msg) {
@@ -32,8 +24,6 @@ void RealtimeEndpointBase::prune_history() {
   while (!history_.empty() && history_.front().value.sent_at < cutoff) {
     history_.erase(history_.front().seq);
   }
-  // Keep the ids of bursts that can still fire: the destructor cancels them.
-  ctx_.simulator().forget_fired(burst_timers_);
 }
 
 void RealtimeEndpointBase::handle_request(const LinkFrame& f) {
@@ -56,7 +46,7 @@ void RealtimeEndpointBase::handle_request(const LinkFrame& f) {
     }
     for (std::uint8_t j = 0; j < m; ++j) {
       const sim::Duration at = spacing * static_cast<std::int64_t>(j);
-      burst_timers_.push_back(ctx_.simulator().schedule(at, [this, seq]() {
+      timers_.schedule(at, [this, seq]() {
         const Sent* hit = history_.find(seq);
         if (hit == nullptr) return;
         LinkFrame rf = frame(FrameType::kRetransmission);
@@ -64,7 +54,7 @@ void RealtimeEndpointBase::handle_request(const LinkFrame& f) {
         rf.msg = hit->msg;
         ctx_.send_frame(std::move(rf));
         ++stats_.retransmissions_sent;
-      }));
+      });
     }
   }
 }
@@ -106,18 +96,19 @@ void RealtimeEndpointBase::note_gap(std::uint64_t missing, const MessageHeader& 
   rec.requests_left = n;
   for (std::uint8_t i = 0; i < n; ++i) {
     const sim::Duration at = req_spacing * static_cast<std::int64_t>(i);
-    rec.request_timers.push_back(ctx_.simulator().schedule(
+    rec.request_timers.push_back(timers_.schedule(
         at, [this, missing, responder_budget]() { send_request(missing, responder_budget); }));
   }
   // Expiry: if the packet has not arrived by the end of the budget (plus a
-  // final one-way trip), give up and stop tracking it.
+  // final one-way trip), give up on it, and on it alone: gaps revealed by
+  // messages with different deadlines left expire out of seq order.
   const sim::Duration expiry = std::max(budget, rtt) + rtt;
-  rec.request_timers.push_back(ctx_.simulator().schedule(expiry, [this, missing]() {
+  rec.request_timers.push_back(timers_.schedule(expiry, [this, missing]() {
     const auto it = pending_.find(missing);
     if (it == pending_.end()) return;
     pending_.erase(it);
     ++stats_.expired_unrecovered;
-    seen_floor_ = std::max(seen_floor_, missing);  // stop considering it
+    mark_seen(missing);
   }));
   pending_.emplace(missing, std::move(rec));
 }
@@ -137,21 +128,11 @@ void RealtimeEndpointBase::handle_data(const LinkFrame& f) {
     ++stats_.duplicates;
     return;
   }
-  // In-order arrivals advance the floor directly; only out-of-order seqs
-  // enter the seen set, which is then compacted from the floor.
-  if (seq == seen_floor_ + 1) {
-    ++seen_floor_;
-  } else {
-    seen_.insert(seq);
-  }
-  while (seen_.contains(seen_floor_ + 1)) {
-    seen_.erase(seen_floor_ + 1);
-    ++seen_floor_;
-  }
+  mark_seen(seq);
 
   const auto pit = pending_.find(seq);
   if (pit != pending_.end()) {
-    for (const auto id : pit->second.request_timers) ctx_.simulator().cancel(id);
+    for (const auto id : pit->second.request_timers) timers_.cancel(id);
     pending_.erase(pit);
     ++stats_.recovered;
   }
@@ -165,6 +146,20 @@ void RealtimeEndpointBase::handle_data(const LinkFrame& f) {
     }
   }
   recv_max_ = std::max(recv_max_, seq);
+}
+
+void RealtimeEndpointBase::mark_seen(std::uint64_t seq) {
+  // In-order seqs advance the floor directly; only out-of-order ones enter
+  // the seen set, which is then compacted from the floor.
+  if (seq == seen_floor_ + 1) {
+    ++seen_floor_;
+  } else {
+    seen_.insert(seq);
+  }
+  while (seen_.contains(seen_floor_ + 1)) {
+    seen_.erase(seen_floor_ + 1);
+    ++seen_floor_;
+  }
 }
 
 void RealtimeEndpointBase::on_frame(const LinkFrame& f) {

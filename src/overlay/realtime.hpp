@@ -24,7 +24,6 @@ class RealtimeEndpointBase : public LinkProtocolEndpoint {
  public:
   RealtimeEndpointBase(LinkContext& ctx, const LinkProtocolConfig& cfg, bool nm_mode)
       : LinkProtocolEndpoint(ctx, cfg), nm_mode_{nm_mode} {}
-  ~RealtimeEndpointBase() override;
 
   bool send(Message msg) override;
   void on_frame(const LinkFrame& f) override;
@@ -53,20 +52,22 @@ class RealtimeEndpointBase : public LinkProtocolEndpoint {
 
   std::uint64_t next_seq_ = 1;
   SeqWindow<Sent> history_;
-  std::vector<sim::EventId> burst_timers_;
 
   // --- Receiver role ---
   struct PendingRecovery {
-    std::vector<sim::EventId> request_timers;
+    std::vector<sim::EventId> request_timers;  // cancelled on recovery
     std::uint8_t requests_left = 0;
   };
   void handle_data(const LinkFrame& f);
+  /// Marks `seq` received or given up, then advances the floor over every
+  /// contiguous seq so marked.
+  void mark_seen(std::uint64_t seq);
   void note_gap(std::uint64_t missing, const MessageHeader& trigger_hdr);
   void send_request(std::uint64_t missing, sim::Duration responder_budget);
   [[nodiscard]] sim::Duration recovery_budget(const MessageHeader& trigger_hdr) const;
 
   std::uint64_t recv_max_ = 0;
-  std::uint64_t seen_floor_ = 0;  // all seqs <= floor are known-seen or expired
+  std::uint64_t seen_floor_ = 0;  // all seqs <= floor are received or expired
   std::set<std::uint64_t> seen_;
   std::map<std::uint64_t, PendingRecovery> pending_;
 

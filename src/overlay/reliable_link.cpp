@@ -23,11 +23,6 @@ void BestEffortEndpoint::on_frame(const LinkFrame& f) {
 
 // ---- Reliable data link ----------------------------------------------------
 
-ReliableLinkEndpoint::~ReliableLinkEndpoint() {
-  ctx_.simulator().cancel(retransmit_timer_);
-  ctx_.simulator().cancel(ack_timer_);
-}
-
 sim::Duration ReliableLinkEndpoint::rto() const {
   return std::max(kMinRto, ctx_.rtt_estimate() * kRtoMultiplier);
 }
@@ -73,15 +68,12 @@ void ReliableLinkEndpoint::arm_retransmit_timer() {
   // entry that just missed a sweep must wait only its own residual timeout,
   // not up to ~2x RTO behind a freshly re-armed timer.
   const sim::TimePoint due = next_rto_deadline();
-  if (retransmit_timer_ != sim::kInvalidEventId) {
+  if (timers_.pending(retransmit_timer_)) {
     if (retransmit_deadline_ <= due) return;  // early fire just re-arms
-    ctx_.simulator().cancel(retransmit_timer_);
+    timers_.cancel(retransmit_timer_);
   }
   retransmit_deadline_ = due;
-  retransmit_timer_ = ctx_.simulator().schedule_at(due, [this]() {
-    retransmit_timer_ = sim::kInvalidEventId;
-    on_retransmit_timer();
-  });
+  retransmit_timer_ = timers_.schedule_at(due, [this]() { on_retransmit_timer(); });
 }
 
 void ReliableLinkEndpoint::on_retransmit_timer() {
@@ -141,10 +133,7 @@ void ReliableLinkEndpoint::handle_ack(const LinkFrame& f) {
     ++u->sends;
     transmit_data(seq, u->msg, true);
   }
-  if (unacked_.empty() && retransmit_timer_ != sim::kInvalidEventId) {
-    ctx_.simulator().cancel(retransmit_timer_);
-    retransmit_timer_ = sim::kInvalidEventId;
-  }
+  if (unacked_.empty()) timers_.cancel(retransmit_timer_);
 }
 
 void ReliableLinkEndpoint::handle_data(const LinkFrame& f) {
@@ -186,11 +175,8 @@ void ReliableLinkEndpoint::handle_data(const LinkFrame& f) {
 }
 
 void ReliableLinkEndpoint::schedule_ack() {
-  if (ack_timer_ != sim::kInvalidEventId) return;
-  ack_timer_ = ctx_.simulator().schedule(kAckDelay, [this]() {
-    ack_timer_ = sim::kInvalidEventId;
-    send_ack();
-  });
+  if (timers_.pending(ack_timer_)) return;
+  ack_timer_ = timers_.schedule(kAckDelay, [this]() { send_ack(); });
 }
 
 void ReliableLinkEndpoint::send_ack() {

@@ -31,7 +31,6 @@ class BestEffortEndpoint final : public LinkProtocolEndpoint {
 class ReliableLinkEndpoint final : public LinkProtocolEndpoint {
  public:
   using LinkProtocolEndpoint::LinkProtocolEndpoint;
-  ~ReliableLinkEndpoint() override;
 
   bool send(Message msg) override;
   void on_frame(const LinkFrame& f) override;

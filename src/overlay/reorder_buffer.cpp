@@ -32,11 +32,7 @@ void ReorderBuffer::drain() {
     ++next_seq_;
     held_.erase(held_.begin());
   }
-  if (held_.empty() && timer_ != sim::kInvalidEventId) {
-    sim_.cancel(timer_);
-    timer_ = sim::kInvalidEventId;
-    arrivals_.clear();
-  }
+  if (held_.empty() && timers_.cancel(timer_)) arrivals_.clear();
 }
 
 void ReorderBuffer::prune_arrivals() {
@@ -46,17 +42,14 @@ void ReorderBuffer::prune_arrivals() {
 }
 
 void ReorderBuffer::arm_timer() {
-  if (timer_ != sim::kInvalidEventId) return;
+  if (timers_.pending(timer_)) return;
   prune_arrivals();
   if (arrivals_.empty()) return;
   // Deadline of the longest-waiting held message. Arrival times are
   // monotone, so an armed timer can only be early (harmless: on_timer
   // re-arms), never late.
   const sim::TimePoint due = arrivals_.front().second + max_hold_;
-  timer_ = sim_.schedule_at(due, [this]() {
-    timer_ = sim::kInvalidEventId;
-    on_timer();
-  });
+  timer_ = timers_.schedule_at(due, [this]() { on_timer(); });
 }
 
 void ReorderBuffer::on_timer() {

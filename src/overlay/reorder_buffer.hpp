@@ -16,6 +16,7 @@
 #include "obs/counters.hpp"
 #include "overlay/message.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timers.hpp"
 
 namespace son::overlay {
 
@@ -24,8 +25,7 @@ class ReorderBuffer {
   using DeliverFn = std::function<void(const Message&)>;
 
   ReorderBuffer(sim::Simulator& sim, sim::Duration max_hold, DeliverFn deliver)
-      : sim_{sim}, max_hold_{max_hold}, deliver_{std::move(deliver)} {}
-  ~ReorderBuffer() { sim_.cancel(timer_); }
+      : sim_{sim}, timers_{sim}, max_hold_{max_hold}, deliver_{std::move(deliver)} {}
   ReorderBuffer(const ReorderBuffer&) = delete;
   ReorderBuffer& operator=(const ReorderBuffer&) = delete;
 
@@ -55,6 +55,7 @@ class ReorderBuffer {
   void prune_arrivals();
 
   sim::Simulator& sim_;
+  sim::Timers timers_;
   sim::Duration max_hold_;
   DeliverFn deliver_;
   std::uint64_t next_seq_ = 1;
@@ -67,7 +68,7 @@ class ReorderBuffer {
   /// monotone and each seq is pushed at most once (duplicates and
   /// already-delivered seqs are rejected), so lazy front-pruning is exact.
   std::deque<std::pair<std::uint64_t, sim::TimePoint>> arrivals_;
-  sim::EventId timer_ = sim::kInvalidEventId;
+  sim::EventId timer_ = sim::kInvalidEventId;  // the skip timer
   Stats stats_;
   static constexpr obs::Field kCounterFields[] = {
       {"overlay.reorder.held", offsetof(Stats, held)},

@@ -4,7 +4,7 @@ namespace son::overlay {
 
 FlowTransformer::FlowTransformer(sim::Simulator& sim, OverlayNode& node, Options opts,
                                  TransformFn fn)
-    : sim_{sim}, opts_{opts}, fn_{std::move(fn)}, endpoint_{node.connect(opts.in_port)} {
+    : timers_{sim}, opts_{opts}, fn_{std::move(fn)}, endpoint_{node.connect(opts.in_port)} {
   if (opts_.in_group != 0) endpoint_.join(opts_.in_group);
   endpoint_.set_handler(
       [this](const Message& m, sim::Duration) { on_input(m); });
@@ -22,12 +22,10 @@ void FlowTransformer::on_input(const Message& m) {
     ++stats_.filtered;
     return;
   }
-  sim_.schedule(opts_.processing,
-                timer_guard_.wrap([this, out = std::move(out),
-                                   t0 = m.hdr.origin_time]() {
-                  endpoint_.send_with_origin(opts_.out, out, opts_.out_spec, t0);
-                  ++stats_.produced;
-                }));
+  timers_.schedule(opts_.processing, [this, out = std::move(out), t0 = m.hdr.origin_time]() {
+    endpoint_.send_with_origin(opts_.out, out, opts_.out_spec, t0);
+    ++stats_.produced;
+  });
 }
 
 }  // namespace son::overlay

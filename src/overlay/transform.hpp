@@ -17,7 +17,7 @@
 #include <functional>
 
 #include "overlay/node.hpp"
-#include "sim/timer_guard.hpp"
+#include "sim/timers.hpp"
 
 namespace son::overlay {
 
@@ -52,14 +52,11 @@ class FlowTransformer {
  private:
   void on_input(const Message& m);
 
-  sim::Simulator& sim_;
+  sim::Timers timers_;  // in-flight republishes; cancelled with the transformer
   Options opts_;
   TransformFn fn_;
   ClientEndpoint& endpoint_;
   Stats stats_;
-  // In-flight processing-delay republishes become inert if the transformer
-  // is destroyed mid-flow; their EventIds are deliberately not tracked.
-  sim::TimerGuard timer_guard_;
 };
 
 }  // namespace son::overlay

@@ -32,6 +32,25 @@ std::uint32_t EventQueue::acquire_slot() {
   return used_++;
 }
 
+void EventQueue::link(Owner& owner, std::uint32_t idx) {
+  Slot& s = slot(idx);
+  s.owner = &owner;
+  s.owner_prev = kNilSlot;
+  s.owner_next = owner.head_;
+  if (owner.head_ != kNilSlot) slot(owner.head_).owner_prev = idx;
+  owner.head_ = idx;
+}
+
+void EventQueue::unlink(Slot& s) {
+  if (s.owner_prev != kNilSlot) {
+    slot(s.owner_prev).owner_next = s.owner_next;
+  } else {
+    s.owner->head_ = s.owner_next;
+  }
+  if (s.owner_next != kNilSlot) slot(s.owner_next).owner_prev = s.owner_prev;
+  s.owner = nullptr;
+}
+
 EventId EventQueue::arm(TimePoint when, std::uint32_t idx) {
   Slot& s = slot(idx);
   s.armed = true;
@@ -60,11 +79,22 @@ bool EventQueue::cancel(EventId id) {
   Slot* s = pending_slot(id);
   if (s == nullptr) return false;
   // Lazy removal: the heap entry stays until it surfaces; the callback's
-  // captured state is released eagerly.
+  // captured state is released eagerly (after the unlink: its destructor
+  // may cancel more).
+  if (s->owner != nullptr) unlink(*s);
   s->armed = false;
   s->cb.reset();
   --live_;
   return true;
+}
+
+std::size_t EventQueue::cancel_all(Owner& owner) {
+  std::size_t n = 0;
+  for (; owner.head_ != kNilSlot; ++n) {
+    const bool was_pending = cancel(make_id(owner.head_, slot(owner.head_).gen));
+    SON_DCHECK(was_pending, "owner list holds a slot that is not pending");
+  }
+  return n;
 }
 
 void EventQueue::skip_cancelled() const {
@@ -98,6 +128,7 @@ void EventQueue::fire_next(TimePoint& clock) {
   // The event stops being pending before its callback runs: its id goes
   // stale, and the slot stays off the free list until the call returns, so
   // nothing the callback schedules can land in (or move) the running closure.
+  if (s.owner != nullptr) unlink(s);
   s.armed = false;
   bump(s.gen);
   --live_;
@@ -112,6 +143,7 @@ void EventQueue::clear() {
   free_head_ = kNilSlot;
   for (std::uint32_t i = used_; i-- > 0;) {
     Slot& s = slot(i);
+    if (s.owner != nullptr) unlink(s);
     s.cb.reset();
     s.armed = false;
     bump(s.gen);

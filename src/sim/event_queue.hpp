@@ -17,6 +17,12 @@
 // Cancellation is lazy: a cancelled event's callback is destroyed
 // immediately, but its heap entry stays and is skipped when it surfaces; the
 // slot is recycled at that point.
+//
+// An event may be scheduled for an Owner (see sim/timers.hpp). Its slot then
+// records the owner and sits on the owner's intrusive list of pending
+// events, linked through slot indices: fire_next() and cancel() unlink it
+// when they disarm it, and cancel_all() walks exactly the owner's pending
+// events. An owner holds one index and allocates nothing per event.
 #pragma once
 
 #include <cstdint>
@@ -40,18 +46,35 @@ using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
+  static constexpr std::uint32_t kNilSlot = 0xffffffffu;
+
  public:
-  /// Schedules `f` to fire at `when`, constructing it in its slot. Returns an
-  /// id usable with cancel(); discarding it forfeits the only handle to the
-  /// event, so callers that never cancel must say so explicitly (assign to a
-  /// discarded value).
+  /// The head of one owner's list of pending events. It must not outlive
+  /// the queue, and must be emptied with cancel_all() before it dies.
+  class Owner {
+   public:
+    Owner() = default;
+    Owner(const Owner&) = delete;
+    Owner& operator=(const Owner&) = delete;
+
+   private:
+    friend class EventQueue;
+    std::uint32_t head_ = kNilSlot;
+  };
+
+  /// Schedules `f` to fire at `when`, constructing it in its slot; with an
+  /// `owner`, the event is also on that owner's list until it fires or is
+  /// cancelled. Returns an id usable with cancel(); discarding it forfeits
+  /// the only handle to the event, so callers that never cancel must say so
+  /// explicitly (assign to a discarded value).
   template <typename F>
     requires std::is_invocable_r_v<void, std::remove_cvref_t<F>&>
-  SON_HOT [[nodiscard]] EventId schedule(TimePoint when, F&& f) {
+  SON_HOT [[nodiscard]] EventId schedule(TimePoint when, F&& f, Owner* owner = nullptr) {
     const std::uint32_t idx = acquire_slot();
     Slot& s = slot(idx);
     s.cb.store(std::forward<F>(f));
     SON_DCHECK(static_cast<bool>(s.cb), "scheduling a null callback");
+    if (owner != nullptr) link(*owner, idx);
     return arm(when, idx);
   }
 
@@ -60,6 +83,10 @@ class EventQueue {
   /// callers must inspect it (a stale id silently doing nothing is exactly
   /// the bug class the generation tags exist to surface).
   SON_HOT [[nodiscard]] bool cancel(EventId id);
+
+  /// Cancels every pending event of `owner`, leaving its list empty.
+  /// Returns how many were cancelled.
+  std::size_t cancel_all(Owner& owner);
 
   /// True while the event can still fire: scheduled, not yet fired, not
   /// cancelled. An event is no longer pending once its callback starts.
@@ -76,11 +103,11 @@ class EventQueue {
   /// from inside a firing callback to clear().
   SON_HOT void fire_next(TimePoint& clock);
 
-  /// Drops all pending events (their ids all become stale).
+  /// Drops all pending events (their ids all become stale, and every
+  /// owner's list empties).
   void clear();
 
  private:
-  static constexpr std::uint32_t kNilSlot = 0xffffffffu;
   /// Slots per pool chunk; a chunk is allocated whole and never moves.
   static constexpr std::uint32_t kChunkBits = 7;
   static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
@@ -99,9 +126,13 @@ class EventQueue {
   };
   struct Slot {
     Callback cb;
+    Owner* owner = nullptr;  // set while the event is pending and owned
     std::uint32_t gen = 1;
-    bool armed = false;  // true while the event is pending (not fired/cancelled)
     std::uint32_t next_free = kNilSlot;
+    // The owner's list, while `owner` is set.
+    std::uint32_t owner_prev = kNilSlot;
+    std::uint32_t owner_next = kNilSlot;
+    bool armed = false;  // true while the event is pending (not fired/cancelled)
   };
 
   // Invariant: a heap entry whose slot is armed owns it (gen matches). A
@@ -112,6 +143,8 @@ class EventQueue {
   }
   [[nodiscard]] Slot* pending_slot(EventId id) const;
   std::uint32_t acquire_slot();
+  void link(Owner& owner, std::uint32_t idx);
+  void unlink(Slot& s);
   EventId arm(TimePoint when, std::uint32_t idx);
   void free_slot(std::uint32_t idx) const;
   void skip_cancelled() const;

@@ -1,7 +1,8 @@
 // Discrete-event simulator run loop.
 //
 // All simulated components hold a Simulator& and derive their notion of time
-// exclusively from it: now() for reads, schedule()/cancel() for timers.
+// exclusively from it: now() for reads, schedule()/cancel() for timers, and
+// sim::Timers (sim/timers.hpp) for timers that capture their owner.
 // Runs are deterministic given the same schedule order and RNG seeds.
 #pragma once
 
@@ -26,33 +27,23 @@ class Simulator {
 
   /// Schedules `f` to run `delay` from now, constructing it in its queue
   /// slot. Negative delays are clamped to "immediately" (still FIFO-ordered
-  /// after events already due now).
+  /// after events already due now). `owner` is set by sim::Timers only.
   template <typename F>
-  EventId schedule(Duration delay, F&& f) {
+  EventId schedule(Duration delay, F&& f, EventQueue::Owner* owner = nullptr) {
     const Duration d = delay < Duration::zero() ? Duration::zero() : delay;
-    return queue_.schedule(now_ + d, std::forward<F>(f));
+    return queue_.schedule(now_ + d, std::forward<F>(f), owner);
   }
 
   template <typename F>
-  EventId schedule_at(TimePoint when, F&& f) {
-    return queue_.schedule(when < now_ ? now_ : when, std::forward<F>(f));
+  EventId schedule_at(TimePoint when, F&& f, EventQueue::Owner* owner = nullptr) {
+    return queue_.schedule(when < now_ ? now_ : when, std::forward<F>(f), owner);
   }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
+  std::size_t cancel_all(EventQueue::Owner& owner) { return queue_.cancel_all(owner); }
 
   /// True while the event can still fire (see EventQueue::pending).
   [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }
-
-  /// Drops from `ids` the timers that can no longer fire, so an owner that
-  /// keeps the ids of fire-and-forget timers (to cancel the pending ones
-  /// when it dies) holds a bounded list. Runs only when the list holds at
-  /// least kTimerListFloor ids and is full to capacity, i.e. about to grow:
-  /// amortized O(1) per id, and no work at all for shorter lists.
-  void forget_fired(std::vector<EventId>& ids) const {
-    if (ids.size() < kTimerListFloor || ids.size() < ids.capacity()) return;
-    std::erase_if(ids, [this](EventId id) { return !queue_.pending(id); });
-  }
-  static constexpr std::size_t kTimerListFloor = 65536;
 
   /// Runs events until the queue drains. Returns the number of events fired.
   std::uint64_t run();

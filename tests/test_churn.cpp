@@ -344,6 +344,29 @@ TEST(RestartRegression, ReliableLinkResetsWhenPeerRestarts) {
   EXPECT_GE(fx.overlay->node(1).stats().peer_restarts_seen, 1u);
 }
 
+// ---- Regression: a node's own restart keeps its peers' incarnations ---------
+
+// restart() used to zero every link's peer incarnation. The first frame from
+// a neighbour that had restarted earlier then counted as one more restart
+// and reset that link's endpoints, and until it arrived, ghosts from the
+// neighbour's older lives were accepted.
+TEST(RestartRegression, OwnRestartKeepsPeerIncarnations) {
+  Simulator sim;
+  GraphOptions gopts;
+  auto fx = build_graph_fixture(sim, circulant_topology(6), gopts, sim::Rng{34});
+  fx.overlay->settle(3_s);
+  for (int i = 0; i < 2; ++i) {
+    fx.overlay->node(1).restart();
+    sim.run_for(1_s);
+  }
+  const NodeStats& node0 = fx.overlay->node(0).stats();
+  ASSERT_EQ(node0.peer_restarts_seen, 2u);
+
+  fx.overlay->node(0).restart();
+  sim.run_for(1_s);
+  EXPECT_EQ(node0.peer_restarts_seen, 2u);  // node 1 did not restart again
+}
+
 // ---- Regression: IT-Priority fairness is per traffic source, not per node ---
 
 // FlowEngine flows share one origin node. With the fairness key collapsed to

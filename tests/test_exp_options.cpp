@@ -118,7 +118,7 @@ TEST(Options, FlowsAndLoadCurveParse) {
     Argv a{{"bench"}};
     int argc = 0;
     const Options o = parse(a, argc);
-    EXPECT_EQ(o.flows, 0);  // default: legacy per-object senders
+    EXPECT_EQ(o.flows, 0);  // default: the bench's own flow counts
     EXPECT_EQ(o.load_curve, "const");
   }
   for (const char* name : {"const", "diurnal", "flash"}) {

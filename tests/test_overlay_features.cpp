@@ -177,6 +177,59 @@ TEST(ControlAuth, ForgedLsaInjectionRejected) {
   }
 }
 
+// A keyed insider is still bound to its own links. Node 4 of C_8(1,2) is not
+// adjacent to node 0, but holds their pair key, so it can tag a forged LSA
+// for origin 3 that node 0's tag check accepts. Node 0 used to apply it and
+// flood it on; a control frame is now taken only on one of the receiver's
+// links, from that link's peer.
+TEST(ControlAuth, NonAdjacentInsiderLsaRejected) {
+  Simulator sim;
+  crypto::Key master{};
+  master[3] = 0x77;
+  GraphOptions gopts;
+  gopts.node.authenticate = true;
+  gopts.node.master_key = master;
+  auto fx = build_graph_fixture(sim, circulant_topology(8), gopts, sim::Rng{7});
+  fx.overlay->settle(3_s);
+  const auto& g = fx.overlay->designed_topology();
+  constexpr NodeId kInsider = 4;
+  for (const auto& [nbr, e] : g.neighbors(0)) ASSERT_NE(nbr, kInsider);
+
+  constexpr std::uint64_t kGhostSeq = std::uint64_t{1} << 40;
+  LinkStateAd forged;
+  forged.origin = 3;
+  forged.seq = kGhostSeq;
+  for (const auto& [nbr, e] : g.neighbors(3)) {
+    forged.links.push_back(LinkReport{static_cast<LinkBit>(e), false, 1.0, 0.0});
+  }
+  LinkFrame frame;
+  frame.link = static_cast<LinkBit>(g.neighbors(0).front().second);
+  frame.from = kInsider;
+  frame.to = 0;
+  frame.type = FrameType::kLsa;
+  frame.control = forged;
+  frame.auth = crypto::hmac_tag(crypto::derive_pair_key(master, kInsider, 0),
+                                control_auth_bytes(frame));
+  frame.authenticated = true;
+
+  net::Datagram d;
+  d.src = fx.hosts[kInsider];
+  d.dst = fx.hosts[0];
+  d.dst_port = 8100;
+  d.payload = frame;
+  fx.internet->send(std::move(d));
+  sim.run_for(1_s);
+
+  EXPECT_LT(fx.overlay->node(0).topology().stored_seq(3), kGhostSeq);
+  for (const auto& [nbr, e] : g.neighbors(0)) {
+    EXPECT_LT(fx.overlay->node(static_cast<NodeId>(nbr)).topology().stored_seq(3), kGhostSeq)
+        << "neighbour " << nbr;
+  }
+  for (const auto& [nbr, e] : g.neighbors(3)) {
+    EXPECT_TRUE(fx.overlay->node(0).topology().link_up(static_cast<LinkBit>(e))) << "link " << e;
+  }
+}
+
 TEST(ControlAuth, UnauthenticatedDeploymentAcceptsPlainControl) {
   // Sanity: in non-IT deployments the same injection IS accepted (that is
   // exactly the gap authentication closes).

@@ -13,6 +13,10 @@
 //  - RealtimeEndpointBase dropped every burst-timer id once it held 65,536,
 //    including bursts scheduled moments earlier, so an endpoint reset
 //    mid-run left this-capturing closures to run on freed memory.
+//  - A realtime gap's expiry raised the receive floor to its seq, so a gap
+//    that expired early (its trigger had little deadline left) jumped the
+//    floor over an earlier gap still in recovery, whose retransmission was
+//    then dropped as a duplicate.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -305,6 +309,39 @@ TEST(RealtimeBugfix, ResetEndpointCancelsEveryPendingBurst) {
   sim.run();
   EXPECT_EQ(pair.frames_sent(), frames_before);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(RealtimeBugfix, GapExpiryGivesUpOnlyThatSeq) {
+  Simulator sim;
+  FakeLinkPair pair{sim, 10_ms, 0.0};  // rtt estimate 20 ms
+  auto b = std::make_unique<RealtimeSimpleEndpoint>(pair.ctx_b(), LinkProtocolConfig{});
+  pair.attach(nullptr, b.get());  // b's requests go nowhere
+  const sim::TimePoint t0 = sim.now();
+  const auto frame = [&](std::uint64_t seq, FrameType type, Duration deadline) {
+    LinkFrame f;
+    f.from = 0;
+    f.to = 1;
+    f.proto = LinkProtocol::kRealtimeSimple;
+    f.type = type;
+    f.seq = seq;
+    f.msg = make_msg(seq, t0);
+    f.msg->hdr.deadline = deadline;
+    return f;
+  };
+  // Seq 3 reveals gap 2 with 500 ms left (expires at ~520 ms); seq 5
+  // reveals gap 4 with 20 ms left (expires at ~40 ms).
+  b->on_frame(frame(1, FrameType::kData, 500_ms));
+  b->on_frame(frame(3, FrameType::kData, 500_ms));
+  b->on_frame(frame(5, FrameType::kData, 20_ms));
+  sim.run_for(100_ms);
+  EXPECT_EQ(b->stats().expired_unrecovered, 1u);  // gap 4 only
+
+  // Gap 2 is still in recovery: its retransmission is delivered.
+  b->on_frame(frame(2, FrameType::kRetransmission, 500_ms));
+  EXPECT_EQ(b->stats().recovered, 1u);
+  EXPECT_EQ(b->stats().duplicates, 0u);
+  ASSERT_EQ(pair.ctx_b().delivered.size(), 4u);
+  EXPECT_EQ(pair.ctx_b().delivered.back().hdr.flow_seq, 2u);
 }
 
 }  // namespace

@@ -92,27 +92,6 @@ TEST(Simulator, EventsFiredCounter) {
   EXPECT_EQ(sim.events_fired(), 7u);
 }
 
-TEST(Simulator, ForgetFiredKeepsEveryIdThatCanStillFire) {
-  Simulator sim;
-  std::vector<EventId> ids;
-  const auto n = static_cast<std::int64_t>(Simulator::kTimerListFloor);
-  for (std::int64_t i = 0; i < n; ++i) {
-    ids.push_back(sim.schedule(Duration::microseconds(i), []() {}));
-  }
-  EXPECT_TRUE(sim.cancel(ids.back()));
-  sim.run_until(TimePoint::zero() + Duration::microseconds(n / 2 - 1));  // fires the first half
-  ids.pop_back();
-  sim.forget_fired(ids);  // one short of the floor: untouched
-  EXPECT_EQ(ids.size(), Simulator::kTimerListFloor - 1);
-  ids.push_back(kInvalidEventId);
-  ids.shrink_to_fit();
-  sim.forget_fired(ids);  // at the floor and full to capacity: compacts
-  ASSERT_EQ(ids.size(), Simulator::kTimerListFloor / 2 - 1);
-  for (const EventId id : ids) EXPECT_TRUE(sim.pending(id));
-  sim.run();
-  for (const EventId id : ids) EXPECT_FALSE(sim.pending(id));
-}
-
 TEST(Simulator, DeterministicInterleaving) {
   const auto run_once = []() {
     Simulator sim;

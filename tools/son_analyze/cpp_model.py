@@ -4,9 +4,9 @@ Every file gets two views. Its stripped code — comments and string literals
 blanked by a real tokenizer, line structure kept — is what the per-line
 construct rules (wall-clock, raw-rand, ...) match. Its whole-program facts
 are what the flow rules need and no single line shows: who calls whom
-(reachability from SON_HOT roots and partition entry points), which classes
-own `sim::EventId` members and whether their destructors cancel them, and
-where mutable namespace-scope state lives.
+(reachability from SON_HOT roots and partition entry points), which members
+are `sim::Timers` or hold `sim::EventId`s, and where mutable namespace-scope
+state lives.
 
 The facts come from a dependency-free structural parser: each file's
 stripped code is scanned with an explicit scope stack that recognizes
@@ -252,10 +252,6 @@ class FunctionDef:
     is_decl: bool = False  # declaration only (no body)
     calls: list[CallSite] = field(default_factory=list)
     facts: list[Fact] = field(default_factory=list)
-
-    @property
-    def is_dtor(self) -> bool:
-        return self.name.startswith("~")
 
 
 @dataclass

@@ -8,52 +8,39 @@ struct Simulator {
   EventId schedule(long delay, void* cb);
   bool cancel(EventId id);
 };
-struct TimerGuard {
-  template <typename Fn>
-  Fn wrap(Fn fn) const;
+struct Timers {
+  EventId schedule(long delay, void* cb);
+  EventId schedule_at(long when, void* cb);
+  bool cancel(EventId id);
+  bool pending(EventId id) const;
 };
 }  // namespace sim
 
-// Stored member EventId, cancelled directly in the destructor.
-struct Cancelled {
-  sim::Simulator& sim_;
+// A kept id and a this-capturing callback, both scheduled on the owner's
+// Timers: destroying the owner cancels them.
+struct Owned {
+  sim::Timers timers_;
   sim::EventId tick_ = 0;
-  void arm() { tick_ = sim_.schedule(5, nullptr); }
-  ~Cancelled() { (void)sim_.cancel(tick_); }
-};
-
-// Cancelled via a helper method the destructor calls.
-struct CancelledViaHelper {
-  sim::Simulator& sim_;
-  sim::EventId tick_ = 0;
-  void arm() { tick_ = sim_.schedule(5, nullptr); }
-  void stop() { (void)sim_.cancel(tick_); }
-  ~CancelledViaHelper() { stop(); }
-};
-
-// Container of EventIds, drained in the destructor.
-struct StoredInContainer {
-  sim::Simulator& sim_;
-  std::vector<sim::EventId> timers_;
-  void arm() {
-    timers_.push_back(sim_.schedule(1, [this]() { arm(); }));
-  }
-  ~StoredInContainer() {
-    for (sim::EventId t : timers_) (void)sim_.cancel(t);
-  }
-};
-
-// Generation-guarded fire-and-forget: inert once the guard dies.
-struct Guarded {
-  sim::Simulator& sim_;
-  sim::TimerGuard guard_;
+  std::vector<sim::EventId> bursts_;
   int hits_ = 0;
-  void go() {
-    sim_.schedule(1, guard_.wrap([this]() { ++hits_; }));
+  void arm() {
+    if (timers_.pending(tick_)) return;
+    tick_ = timers_.schedule_at(5, [this]() { arm(); });
+    bursts_.push_back(this->timers_.schedule(1, [this]() { ++hits_; }));
   }
 };
 
-// Callback that does not capture `this` owes nothing to the owner.
+// A Timers member inherited from a base class counts as the owner's own.
+struct Base {
+  sim::Timers timers_;
+};
+struct Derived : Base {
+  sim::EventId retransmit_ = 0;
+  void arm() { retransmit_ = timers_.schedule(2, [this]() { arm(); }); }
+};
+
+// A callback that does not capture `this`, with its id discarded, owes
+// nothing to the owner: plain Simulator::schedule is fine.
 struct NoCapture {
   sim::Simulator& sim_;
   void go(int* counter) {

@@ -29,15 +29,11 @@ contract:
                       writes stay runtime-checked: name-based analysis cannot
                       see object ownership.)
 
-  timer-lifecycle     every member sim::EventId (or container of them) that is
-                      ever assigned from schedule()/schedule_at() must be
-                      cancelled in the owning class's destructor (directly or
-                      via a same-class method the destructor calls), and every
-                      schedule() whose callback captures `this` must either
-                      store the EventId, route through sim::TimerGuard::wrap
-                      (generation-guarded), or carry a justification. Catches
-                      statically the dangling-timer use-after-free class that
-                      PR 5 fixed dynamically.
+  timer-lifecycle     a schedule()/schedule_at() whose callback captures
+                      `this`, or whose EventId is kept in a member, must be
+                      called on a sim::Timers member, so destroying the owner
+                      cancels the timer. Catches statically the dangling-timer
+                      use-after-free class.
 
   hot-path-alloc      functions annotated SON_HOT must not reach a known
                       allocating construct (new-expressions, make_shared/
@@ -84,9 +80,9 @@ RULES = {
     "shard-confinement": "partition-reachable code schedules onto the control plane, another "
     "shard's simulator, or touches mutable global state; cross-partition effects must ride a "
     "ShardChannel so the conservative lookahead bound holds",
-    "timer-lifecycle": "a scheduled timer can outlive its owner: member EventIds must be "
-    "cancelled in the destructor, and this-capturing callbacks must store their EventId or be "
-    "generation-guarded (sim::TimerGuard::wrap) — a fire after destruction is a use-after-free",
+    "timer-lifecycle": "a scheduled timer can outlive its owner: a this-capturing callback, or "
+    "one whose EventId is kept in a member, must be scheduled through the owner's sim::Timers "
+    "member, whose destruction cancels it — a fire after destruction is a use-after-free",
     "hot-path-alloc": "a SON_HOT function reaches an allocating construct; hot paths promise "
     "zero steady-state heap allocation (runtime-pinned by alloc_probe, statically by this rule)",
     "mutable-static": "mutable namespace-scope/static state; shared across shard workers and "
@@ -514,96 +510,64 @@ def check_shard_confinement(model: Model, graph: CallGraph, em: Emitter,
 _EVENTID_TYPE_RE = re.compile(r"(?:^|[^\w])(?:sim\s*::\s*)?EventId\s*$")
 _EVENTID_CONTAINER_RE = re.compile(
     r"(?:vector|array|deque)\s*<\s*(?:sim\s*::\s*)?EventId\s*(?:,[^>]*)?>")
-_GUARD_TYPE_RE = re.compile(r"(?:sim\s*::\s*)?TimerGuard\b")
+_TIMERS_TYPE_RE = re.compile(r"(?:^|[^\w:])(?:sim\s*::\s*)?Timers\s*$")
 _SCHED_CALL_RE = re.compile(r"\bschedule(?:_at)?\s*\(")
+_CAPTURES_THIS_RE = re.compile(r"\[\s*(?:this\b|=|&[\s,\]])")
+_RECEIVER_RE = re.compile(r"([A-Za-z_]\w*(?:\s*\(\s*\))?(?:\s*(?:\.|->)\s*[A-Za-z_]\w*"
+                          r"(?:\s*\(\s*\))?)*)\s*(?:\.|->)\s*$")
 
 
-def _statement_around(body: str, idx: int) -> tuple[str, int]:
+def _statement_around(body: str, idx: int) -> str:
     start = max(body.rfind(";", 0, idx), body.rfind("{", 0, idx), body.rfind("}", 0, idx))
-    start = start + 1 if start >= 0 else 0
-    return body[start:idx], start
+    return body[start + 1 if start >= 0 else 0:idx]
+
+
+def _names_re(names: set[str]) -> str:
+    return "|".join(map(re.escape, sorted(names))) if names else r"(?!)"
 
 
 def check_timer_lifecycle(model: Model, graph: CallGraph, em: Emitter):
-    methods_by_class: dict[str, list[FunctionDef]] = {}
-    for f in graph.defs:
-        if f.cls:
-            methods_by_class.setdefault(f.cls, []).append(f)
-
+    """Every schedule call in a method whose callback captures `this`, or
+    whose id is kept in a member, must be made on a sim::Timers member.
+    Members are matched by name over the whole model, so a Timers or EventId
+    member a class inherits counts as its own."""
+    timers_names: set[str] = set()
+    id_names: set[str] = set()
     for ci in model.classes():
-        methods = methods_by_class.get(ci.name, [])
-        if not methods:
-            continue
-        event_members = []
-        guard_names = []
         for mv in ci.members:
-            if _GUARD_TYPE_RE.search(mv.type_text):
-                guard_names.append(mv.name)
+            if _TIMERS_TYPE_RE.search(mv.type_text):
+                timers_names.add(mv.name)
             elif _EVENTID_TYPE_RE.search(mv.type_text) or \
                     _EVENTID_CONTAINER_RE.search(mv.type_text):
-                event_members.append(mv)
+                id_names.add(mv.name)
+    on_timers_re = re.compile(
+        r"(?:\bthis\s*->\s*)?\b(?:" + _names_re(timers_names) + r")\s*\.\s*$")
+    keeps_id_re = re.compile(
+        r"\b(" + _names_re(id_names) + r")\s*(?:=(?!=)|\.\s*(?:push_back|emplace_back|"
+        r"insert|emplace)\s*\()")
 
-        # (a) member EventIds: scheduled somewhere => cancelled in the dtor
-        # (directly, or in a same-class method the destructor calls).
-        dtors = [m for m in methods if m.is_dtor]
-        dtor_reachable: list[FunctionDef] = []
-        seen = set()
-        work = list(dtors)
-        while work:
-            m = work.pop()
-            if id(m) in seen:
+    for m in graph.defs:
+        if not m.cls or not m.body:
+            continue
+        for sm in _SCHED_CALL_RE.finditer(m.body):
+            open_paren = m.body.index("(", sm.start())
+            args = m.body[open_paren:match_paren(m.body, open_paren) + 1]
+            stmt = _statement_around(m.body, sm.start())
+            kept = keeps_id_re.search(stmt)
+            if not kept and not _CAPTURES_THIS_RE.search(args):
                 continue
-            seen.add(id(m))
-            dtor_reachable.append(m)
-            for call in m.calls:
-                for g in methods:
-                    if g.name == call.name and id(g) not in seen:
-                        work.append(g)
-        for mv in event_members:
-            sched_re = re.compile(
-                r"\b" + re.escape(mv.name) +
-                r"\b\s*(?:=\s*[^;]*\bschedule|\.\s*(?:push_back|emplace_back)\s*\([^;]*\bschedule)")
-            scheduled = any(m.body and sched_re.search(m.body) for m in methods)
-            if not scheduled:
+            if on_timers_re.search(stmt):
                 continue
-            cancelled = any(
-                m.body and re.search(r"\b" + re.escape(mv.name) + r"\b", m.body)
-                and "cancel" in m.body for m in dtor_reachable)
-            if not cancelled:
-                where = "no destructor is defined" if not dtors else \
-                    f"`~{ci.name}` never cancels it"
-                em.emit(mv.file, mv.line, "timer-lifecycle",
-                        f"member EventId `{ci.name}::{mv.name}` is scheduled but {where}; "
-                        "a fire after destruction is a use-after-free",
-                        symbol=f"{ci.name}::{mv.name}")
-
-        # (b) this-capturing schedule whose EventId is discarded and whose
-        # callback is not routed through a TimerGuard.
-        guard_wrap_re = None
-        if guard_names:
-            guard_wrap_re = re.compile(
-                r"\b(?:" + "|".join(map(re.escape, guard_names)) + r")\s*\.\s*wrap\s*\(")
-        for m in methods:
-            if not m.body:
-                continue
-            for sm in _SCHED_CALL_RE.finditer(m.body):
-                open_paren = m.body.index("(", sm.start())
-                close = match_paren(m.body, open_paren)
-                args = m.body[open_paren:close + 1]
-                if not re.search(r"\[\s*(?:this\b|=|&[\s,\]])", args):
-                    continue  # callback does not capture this
-                stmt, _ = _statement_around(m.body, sm.start())
-                if re.search(r"=|\breturn\b|\b(?:push_back|emplace_back|"
-                               r"insert|emplace)\s*\(", stmt):
-                    continue  # EventId stored / returned
-                if guard_wrap_re and guard_wrap_re.search(args):
-                    continue  # generation-guarded: inert after guard destruction
-                line = m.body_line + m.body.count("\n", 0, sm.start())
-                em.emit(m.file, line, "timer-lifecycle",
-                        f"`{m.qname}` schedules a this-capturing callback and discards "
-                        "the EventId; store it and cancel in the destructor, or wrap "
-                        "with sim::TimerGuard so destruction makes it inert",
-                        symbol=m.qname)
+            why = (f"keeps its EventId in member `{kept.group(1)}`" if kept
+                   else "captures `this`")
+            recv = _RECEIVER_RE.search(stmt)
+            where = f"`{recv.group(1)}`" if recv else "an unqualified call"
+            line = m.body_line + m.body.count("\n", 0, sm.start())
+            em.emit(m.file, line, "timer-lifecycle",
+                    f"`{m.qname}` schedules a callback that {why} on {where}, not on a "
+                    "sim::Timers member; schedule it through the owner's Timers so the "
+                    "owner's destruction cancels it",
+                    symbol=m.qname)
 
 
 # ---------------------------------------------------------------------------

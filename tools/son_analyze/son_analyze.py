@@ -18,9 +18,9 @@ Flow rules (whole program):
   shard-confinement   nothing reachable from partition code schedules onto
                       the control plane or another shard, or touches mutable
                       global state (the call-graph form of cross-shard)
-  timer-lifecycle     scheduled member EventIds are cancelled in their
-                      owner's destructor; this-capturing callbacks store
-                      their id or are TimerGuard-generation-guarded
+  timer-lifecycle     a schedule whose callback captures `this`, or whose
+                      id is kept in a member, is made on the owner's
+                      sim::Timers, whose destruction cancels it
   hot-path-alloc      SON_HOT functions reach no allocating construct on any
                       call path (static complement of sim::alloc_probe)
   mutable-static      census of mutable statics, every one justified

@@ -151,14 +151,20 @@ def main(argv: list[str]):
         fail(f"usage: {Path(__file__).name} [construct | tree ROOT]")
 
     # --- per-rule positive/negative pairs ---------------------------------
-    timer = expect_rule("timer_bad.cpp", [], "timer-lifecycle", 3,
+    # Every schedule in timer_bad.cpp is flagged, the destructor-cancelled
+    # ids (HalfCancelled::a_, CancelledInDtor, IdList) included.
+    timer = expect_rule("timer_bad.cpp", [], "timer-lifecycle", 7,
                         forbid_other_rules=True)
     msgs = " ".join(f["message"] for f in timer)
-    if "LeakyTimer::tick_" not in msgs or "HalfCancelled::b_" not in msgs:
-        fail(f"timer_bad.cpp: expected member findings for LeakyTimer::tick_ "
-             f"and HalfCancelled::b_\n{msgs}")
-    if "HalfCancelled::a_" in msgs:
-        fail("timer_bad.cpp: HalfCancelled::a_ is cancelled and must not fire")
+    for needle in ("`LeakyTimer::arm` schedules a callback that keeps its EventId in "
+                   "member `tick_`",
+                   "keeps its EventId in member `a_`", "keeps its EventId in member `b_`",
+                   "`FireAndForget::go` schedules a callback that captures `this`",
+                   "`CancelledInDtor::arm`", "keeps its EventId in member `ids_`",
+                   "`Guarded::go` schedules a callback that captures `this` on "
+                   "`ctx_.simulator()`"):
+        if needle not in msgs:
+            fail(f"timer_bad.cpp: no finding mentions {needle}\n{msgs}")
     expect_clean("timer_ok.cpp", [])
 
     hot = expect_rule("hot_bad.cpp", [], "hot-path-alloc", 3,
