@@ -148,21 +148,16 @@ void ItReliableEndpoint::on_frame(const LinkFrame& f) {
     case FrameType::kRetransmission: {
       if (!f.msg) return;
       const std::uint64_t seq = f.seq;
-      const bool already = seq <= recv_cum_ || recv_ooo_.contains(seq);
-      bool admitted = already;
-      if (!already) {
-        admitted = ctx_.deliver_up(*f.msg, f.link);
+      const bool already = seq <= recv_.floor() || recv_.find(seq) != nullptr;
+      if (!already && !recv_.in_span(seq)) {
+        // Too far ahead to track: refuse it unacked; the sender retransmits
+        // it once the floor has moved.
+        ctx_.count_protocol_drop(LinkProtocol::kITReliable);
+        return;
       }
+      const bool admitted = already || ctx_.deliver_up(*f.msg, f.link);
       if (admitted && !already) {
-        if (seq == recv_cum_ + 1) {
-          ++recv_cum_;
-          while (!recv_ooo_.empty() && *recv_ooo_.begin() == recv_cum_ + 1) {
-            recv_ooo_.erase(recv_ooo_.begin());
-            ++recv_cum_;
-          }
-        } else {
-          recv_ooo_.insert(seq);
-        }
+        recv_.put(seq, Admitted{}, [](Admitted&) { return true; });
       }
       // kBusy when the downstream buffer is full: the peer pauses this flow
       // and retries.

@@ -25,7 +25,6 @@
 
 #include <deque>
 #include <map>
-#include <set>
 
 #include "overlay/link_protocols.hpp"
 #include "overlay/seq_window.hpp"
@@ -126,9 +125,9 @@ class ItReliableEndpoint final : public ItEndpointBase {
   std::map<std::uint64_t, sim::TimePoint> paused_flows_;
   sim::EventId retransmit_timer_ = sim::kInvalidEventId;
 
-  // Receiver side.
-  std::uint64_t recv_cum_ = 0;
-  std::set<std::uint64_t> recv_ooo_;
+  // Receiver side: seqs admitted above the cumulative floor.
+  struct Admitted {};
+  RecvWindow<Admitted> recv_;
 };
 
 }  // namespace son::overlay

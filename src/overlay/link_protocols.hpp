@@ -59,6 +59,11 @@ inline constexpr std::size_t kMaxNacksPerAck = 64;
 // Realtime protocols.
 inline constexpr sim::Duration kRtSenderHistory = sim::Duration::milliseconds(2000);
 inline constexpr sim::Duration kRtDefaultBudget = sim::Duration::milliseconds(100);
+/// Caps on what one data frame can make a realtime receiver schedule: it
+/// notes at most kRtMaxNewGaps missing seqs below it (giving up the rest at
+/// once), each with at most kRtMaxRequests requests plus an expiry timer.
+inline constexpr std::uint64_t kRtMaxNewGaps = 512;
+inline constexpr std::uint8_t kRtMaxRequests = 8;
 
 struct LinkProtocolConfig {
   // Reliable link.

@@ -71,10 +71,8 @@ sim::Duration RealtimeEndpointBase::recovery_budget(const MessageHeader& h) cons
 }
 
 void RealtimeEndpointBase::note_gap(std::uint64_t missing, const MessageHeader& trigger) {
-  if (pending_.contains(missing) || seen_.contains(missing) || missing <= seen_floor_) return;
-
   const std::uint8_t n =
-      std::max<std::uint8_t>(1, nm_mode_ ? trigger.nm_requests : 1);
+      std::clamp<std::uint8_t>(nm_mode_ ? trigger.nm_requests : 1, 1, kRtMaxRequests);
   const sim::Duration budget = recovery_budget(trigger);
   const sim::Duration rtt = ctx_.rtt_estimate();
 
@@ -92,29 +90,30 @@ void RealtimeEndpointBase::note_gap(std::uint64_t missing, const MessageHeader& 
     responder_budget = sim::Duration::zero();  // back-to-back ablation
   }
 
-  PendingRecovery rec;
-  rec.requests_left = n;
+  RecvState rec;
+  rec.timers.reserve(n + 1);
   for (std::uint8_t i = 0; i < n; ++i) {
     const sim::Duration at = req_spacing * static_cast<std::int64_t>(i);
-    rec.request_timers.push_back(timers_.schedule(
+    rec.timers.push_back(timers_.schedule(
         at, [this, missing, responder_budget]() { send_request(missing, responder_budget); }));
   }
   // Expiry: if the packet has not arrived by the end of the budget (plus a
   // final one-way trip), give up on it, and on it alone: gaps revealed by
   // messages with different deadlines left expire out of seq order.
   const sim::Duration expiry = std::max(budget, rtt) + rtt;
-  rec.request_timers.push_back(timers_.schedule(expiry, [this, missing]() {
-    const auto it = pending_.find(missing);
-    if (it == pending_.end()) return;
-    pending_.erase(it);
+  rec.timers.push_back(timers_.schedule(expiry, [this, missing]() {
+    RecvState* s = recv_.find(missing);
+    if (s == nullptr || s->seen()) return;
+    s->end(timers_);
     ++stats_.expired_unrecovered;
-    mark_seen(missing);
+    recv_.advance(kSeen);
   }));
-  pending_.emplace(missing, std::move(rec));
+  recv_.put(missing, std::move(rec), kSeen);
 }
 
 void RealtimeEndpointBase::send_request(std::uint64_t missing, sim::Duration responder_budget) {
-  if (!pending_.contains(missing)) return;
+  const RecvState* s = recv_.find(missing);
+  if (s == nullptr || s->seen()) return;
   LinkFrame f = frame(FrameType::kRetransRequest);
   f.ids.push_back(missing);
   f.budget = responder_budget;
@@ -124,41 +123,35 @@ void RealtimeEndpointBase::send_request(std::uint64_t missing, sim::Duration res
 
 void RealtimeEndpointBase::handle_data(const LinkFrame& f) {
   const std::uint64_t seq = f.seq;
-  if (seq <= seen_floor_ || seen_.contains(seq)) {
+  RecvState* s = recv_.find(seq);
+  if (seq <= recv_.floor() || (s != nullptr && s->seen())) {
     ++stats_.duplicates;
     return;
   }
-  mark_seen(seq);
-
-  const auto pit = pending_.find(seq);
-  if (pit != pending_.end()) {
-    for (const auto id : pit->second.request_timers) timers_.cancel(id);
-    pending_.erase(pit);
+  // A frame far ahead gives up, at once, every seq that falls out of the
+  // span, and every missing seq more than kRtMaxNewGaps below it (the sender
+  // keeps only kRtSenderHistory to resend them from).
+  std::uint64_t through = recv_.in_span(seq) ? 0 : seq - kMaxRecvSpan;
+  if (seq > recv_.top() + kRtMaxNewGaps + 1) through = seq - kRtMaxNewGaps - 1;
+  stats_.expired_unrecovered += recv_.give_up_through(through, [this](RecvState& g) {
+    if (g.seen()) return;
+    g.end(timers_);
+    ++stats_.expired_unrecovered;
+  });
+  // Gap detection: every seq between the highest one known and this one is
+  // missing.
+  const std::uint64_t gap_from = recv_.top() + 1;
+  if (s != nullptr) {
+    s->end(timers_);
     ++stats_.recovered;
-  }
-
-  if (f.msg) ctx_.deliver_up(*f.msg, f.link);
-
-  // Gap detection: anything between the previous max and this seq is missing.
-  if (seq > recv_max_ + 1 && f.msg) {
-    for (std::uint64_t m = std::max(recv_max_ + 1, seen_floor_ + 1); m < seq; ++m) {
-      if (!seen_.contains(m)) note_gap(m, f.msg->hdr);
-    }
-  }
-  recv_max_ = std::max(recv_max_, seq);
-}
-
-void RealtimeEndpointBase::mark_seen(std::uint64_t seq) {
-  // In-order seqs advance the floor directly; only out-of-order ones enter
-  // the seen set, which is then compacted from the floor.
-  if (seq == seen_floor_ + 1) {
-    ++seen_floor_;
+    recv_.advance(kSeen);
   } else {
-    seen_.insert(seq);
+    recv_.put(seq, RecvState{}, kSeen);
   }
-  while (seen_.contains(seen_floor_ + 1)) {
-    seen_.erase(seen_floor_ + 1);
-    ++seen_floor_;
+
+  if (f.msg) {
+    ctx_.deliver_up(*f.msg, f.link);
+    for (std::uint64_t m = gap_from; m < seq; ++m) note_gap(m, f.msg->hdr);
   }
 }
 

@@ -11,8 +11,6 @@
 // exactly one request and one retransmission per missing packet.
 #pragma once
 
-#include <map>
-#include <set>
 #include <vector>
 
 #include "overlay/link_protocols.hpp"
@@ -54,22 +52,24 @@ class RealtimeEndpointBase : public LinkProtocolEndpoint {
   SeqWindow<Sent> history_;
 
   // --- Receiver role ---
-  struct PendingRecovery {
-    std::vector<sim::EventId> request_timers;  // cancelled on recovery
-    std::uint8_t requests_left = 0;
+  /// A stored seq is in recovery while `timers` holds its request and expiry
+  /// timer ids, and seen once it is empty; a seq not stored is unknown.
+  struct RecvState {
+    std::vector<sim::EventId> timers;
+    [[nodiscard]] bool seen() const { return timers.empty(); }
+    /// Ends the recovery: cancels the timers and marks the seq seen.
+    void end(sim::Timers& t) {
+      for (const auto id : timers) t.cancel(id);
+      timers.clear();
+    }
   };
+  static constexpr auto kSeen = [](const RecvState& r) { return r.seen(); };
   void handle_data(const LinkFrame& f);
-  /// Marks `seq` received or given up, then advances the floor over every
-  /// contiguous seq so marked.
-  void mark_seen(std::uint64_t seq);
   void note_gap(std::uint64_t missing, const MessageHeader& trigger_hdr);
   void send_request(std::uint64_t missing, sim::Duration responder_budget);
   [[nodiscard]] sim::Duration recovery_budget(const MessageHeader& trigger_hdr) const;
 
-  std::uint64_t recv_max_ = 0;
-  std::uint64_t seen_floor_ = 0;  // all seqs <= floor are received or expired
-  std::set<std::uint64_t> seen_;
-  std::map<std::uint64_t, PendingRecovery> pending_;
+  RecvWindow<RecvState> recv_;  // the floor passes seqs received or expired
 
   bool nm_mode_;
   Stats stats_;

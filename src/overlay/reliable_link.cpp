@@ -138,38 +138,30 @@ void ReliableLinkEndpoint::handle_ack(const LinkFrame& f) {
 
 void ReliableLinkEndpoint::handle_data(const LinkFrame& f) {
   const std::uint64_t seq = f.seq;
-  const bool duplicate = seq <= recv_cum_ || recv_ooo_.contains(seq);
-  recv_max_ = std::max(recv_max_, seq);
-  if (duplicate) {
+  if (seq <= recv_.floor() || recv_.find(seq) != nullptr) {
     ++stats_.duplicates_received;
+  } else if (!recv_.in_span(seq)) {
+    // Too far ahead to track: refuse it unacked; the sender retransmits it
+    // once the floor has moved.
+    ctx_.count_protocol_drop(LinkProtocol::kReliable);
+    return;
   } else {
-    if (cfg_.reliable_ooo_forwarding) {
-      // Out-of-order forwarding: hand the message up immediately; only the
-      // final destination reorders (§III-A).
-      if (f.msg) {
-        ctx_.deliver_up(*f.msg, f.link);
-        ++stats_.delivered_up;
-      }
-    } else if (f.msg) {
-      // In-order ablation: hold gapped arrivals at this hop.
-      held_.emplace(seq, *f.msg);
+    // Out-of-order forwarding hands the message up immediately; only the
+    // final destination reorders (§III-A). The in-order ablation holds
+    // gapped arrivals at this hop until the floor passes them.
+    const bool forward = cfg_.reliable_ooo_forwarding;
+    if (forward && f.msg) {
+      ctx_.deliver_up(*f.msg, f.link);
+      ++stats_.delivered_up;
     }
-    if (seq == recv_cum_ + 1) {
-      ++recv_cum_;
-      while (!recv_ooo_.empty() && *recv_ooo_.begin() == recv_cum_ + 1) {
-        recv_ooo_.erase(recv_ooo_.begin());
-        ++recv_cum_;
-      }
-    } else {
-      recv_ooo_.insert(seq);
-    }
-    if (!cfg_.reliable_ooo_forwarding) {
-      while (!held_.empty() && held_.begin()->first <= recv_cum_) {
-        ctx_.deliver_up(held_.begin()->second, f.link);
-        ++stats_.delivered_up;
-        held_.erase(held_.begin());
-      }
-    }
+    recv_.put(seq, forward || !f.msg ? nullptr : std::make_unique<Message>(*f.msg),
+              [&](std::unique_ptr<Message>& held) {
+                if (held) {
+                  ctx_.deliver_up(std::move(*held), f.link);
+                  ++stats_.delivered_up;
+                }
+                return true;
+              });
   }
   schedule_ack();
 }
@@ -181,27 +173,17 @@ void ReliableLinkEndpoint::schedule_ack() {
 
 void ReliableLinkEndpoint::send_ack() {
   LinkFrame f = frame(FrameType::kAck);
-  f.cum_ack = recv_cum_;
+  f.cum_ack = recv_.floor();
   // Highest seq seen: together with the exhaustive nack list below this lets
   // the sender infer which out-of-order seqs we already hold (SACK).
-  f.seq = recv_max_;
-  // Nack the holes between the cumulative point and the highest seen by
-  // walking the gaps of the out-of-order set — O(holes), not O(window).
-  // (recv_max_ is always a member of recv_ooo_ whenever it exceeds
-  // recv_cum_, so the gap walk covers exactly the old per-seq scan.)
-  // Capped per frame: lower seqs first, later acks cover the rest.
-  const std::size_t cap = kMaxNacksPerAck;
-  std::uint64_t prev = recv_cum_;
-  for (auto it = recv_ooo_.begin(); it != recv_ooo_.end() && f.ids.size() < cap; ++it) {
-    for (std::uint64_t s = prev + 1; s < *it && f.ids.size() < cap; ++s) {
-      f.ids.push_back(s);
-    }
-    prev = *it;
-  }
+  f.seq = recv_.top();
+  // Nack the holes between the cumulative point and the highest seen, lowest
+  // first, capped per frame: later acks cover the rest.
+  recv_.holes(f.ids, kMaxNacksPerAck);
   if (!f.ids.empty()) {
     ++stats_.nack_batches;
     SON_OBS(ctx_.self(), obs::Category::kLink, obs::LinkEvent::kNackBatch, f.ids.size(),
-            recv_cum_);
+            recv_.floor());
   }
   ctx_.send_frame(std::move(f));
 }

@@ -9,9 +9,7 @@
 // they can be delivered in order."
 #pragma once
 
-#include <deque>
-#include <map>
-#include <set>
+#include <memory>
 
 #include "obs/counters.hpp"
 #include "overlay/link_protocols.hpp"
@@ -80,11 +78,10 @@ class ReliableLinkEndpoint final : public LinkProtocolEndpoint {
   void schedule_ack();
   void send_ack();
 
-  std::uint64_t recv_cum_ = 0;       // highest in-order seq received
-  std::uint64_t recv_max_ = 0;       // highest seq seen at all
-  std::set<std::uint64_t> recv_ooo_; // received out-of-order beyond recv_cum_
-  /// Held messages when reliable_ooo_forwarding is off (in-order ablation).
-  std::map<std::uint64_t, Message> held_;
+  /// Seqs received above the cumulative floor. An entry holds its message
+  /// while reliable_ooo_forwarding is off (in-order ablation), else null,
+  /// so a slot costs a pointer, not a Message.
+  RecvWindow<std::unique_ptr<Message>> recv_;
   sim::EventId ack_timer_ = sim::kInvalidEventId;
 
   Stats stats_;

@@ -4,39 +4,38 @@ namespace son::overlay {
 
 void ReorderBuffer::push(Message msg) {
   const std::uint64_t seq = msg.hdr.flow_seq;
-  if (seq < next_seq_) {
+  if (seq <= window_.floor()) {
     ++stats_.late_discarded;
     return;
   }
-  if (held_.contains(seq)) {
+  if (window_.find(seq) != nullptr) {
     ++stats_.duplicates;
     return;
   }
-  if (seq == next_seq_) {
-    deliver_(msg);
-    ++stats_.delivered;
-    ++next_seq_;
-    drain();
-    return;
-  }
-  held_.emplace(seq, Held{std::move(msg), sim_.now()});
+  // A seq too far ahead to hold (a rebuilt buffer meeting a long-running
+  // flow, say) first gives up every seq that falls out of the span.
+  if (!window_.in_span(seq)) skip_through(seq - kMaxRecvSpan);
+  window_.put(seq, std::move(msg), [this](const Message& m) { return deliver(m); });
+  drain();
+  if (window_.find(seq) == nullptr) return;  // delivered in order
   arrivals_.emplace_back(seq, sim_.now());
   ++stats_.held;
   arm_timer();
 }
 
 void ReorderBuffer::drain() {
-  while (!held_.empty() && held_.begin()->first == next_seq_) {
-    deliver_(held_.begin()->second.msg);
-    ++stats_.delivered;
-    ++next_seq_;
-    held_.erase(held_.begin());
-  }
-  if (held_.empty() && timers_.cancel(timer_)) arrivals_.clear();
+  window_.advance([this](const Message& m) { return deliver(m); });
+  if (window_.empty() && timers_.cancel(timer_)) arrivals_.clear();
+}
+
+void ReorderBuffer::skip_through(std::uint64_t seq) {
+  stats_.skipped_missing +=
+      window_.give_up_through(seq, [this](const Message& m) { deliver(m); });
+  drain();
 }
 
 void ReorderBuffer::prune_arrivals() {
-  while (!arrivals_.empty() && !held_.contains(arrivals_.front().first)) {
+  while (!arrivals_.empty() && window_.find(arrivals_.front().first) == nullptr) {
     arrivals_.pop_front();
   }
 }
@@ -57,15 +56,9 @@ void ReorderBuffer::on_timer() {
   prune_arrivals();
   while (!arrivals_.empty() && now - arrivals_.front().second >= max_hold_) {
     // The longest-waiting held message has outlived max_hold: give up on
-    // every gap below it. Deliver all held entries up to and including its
-    // seq, in order, counting the abandoned gaps as skipped.
-    const std::uint64_t expired_seq = arrivals_.front().first;
-    while (!held_.empty() && held_.begin()->first <= expired_seq) {
-      const std::uint64_t gap_end = held_.begin()->first;
-      stats_.skipped_missing += gap_end - next_seq_;
-      next_seq_ = gap_end;
-      drain();
-    }
+    // every gap below it, delivering the held entries up to and including
+    // its seq in order.
+    skip_through(arrivals_.front().first);
     prune_arrivals();
   }
   arm_timer();

@@ -10,11 +10,11 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <utility>
 
 #include "obs/counters.hpp"
 #include "overlay/message.hpp"
+#include "overlay/seq_window.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timers.hpp"
 
@@ -37,18 +37,23 @@ class ReorderBuffer {
     std::uint64_t delivered = 0;
     std::uint64_t held = 0;             // arrived beyond a gap and waited
     std::uint64_t late_discarded = 0;   // arrived after the gap was skipped
-    std::uint64_t skipped_missing = 0;  // gaps abandoned by the hold timeout
+    std::uint64_t skipped_missing = 0;  // gaps abandoned (hold timeout or span)
     std::uint64_t duplicates = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t held() const { return held_.size(); }
 
  private:
-  struct Held {
-    Message msg;
-    sim::TimePoint arrived;
-  };
+  /// Hands `m` up; returns true, to serve as the window's take.
+  bool deliver(const Message& m) {
+    deliver_(m);
+    ++stats_.delivered;
+    return true;
+  }
+  /// Delivers the held messages directly above the floor, in order.
   void drain();
+  /// Gives up every seq at or below `seq`: delivers the held ones in order,
+  /// counts the rest as skipped, then drains.
+  void skip_through(std::uint64_t seq);
   void arm_timer();
   void on_timer();
   /// Drops front entries whose seq is no longer held (already delivered).
@@ -58,15 +63,12 @@ class ReorderBuffer {
   sim::Timers timers_;
   sim::Duration max_hold_;
   DeliverFn deliver_;
-  std::uint64_t next_seq_ = 1;
-  std::map<std::uint64_t, Held> held_;  // ordered by seq
-  /// Hold deadlines in ARRIVAL order — held_ is ordered by seq, so its first
-  /// entry is the lowest sequence, not the longest-waiting message. The skip
-  /// timer must fire at oldest_arrival + max_hold; tracking arrivals
-  /// separately keeps a late-arriving low-seq retransmission from resetting
-  /// the effective deadline of older held messages. Arrival times are
-  /// monotone and each seq is pushed at most once (duplicates and
-  /// already-delivered seqs are rejected), so lazy front-pruning is exact.
+  RecvWindow<Message> window_;  // the floor is the last seq delivered or skipped
+  /// Hold deadlines in ARRIVAL order (window_ is in seq order). The skip
+  /// timer fires at the oldest arrival + max_hold, so a late low-seq
+  /// retransmission cannot reset the deadline of older held messages. Arrival
+  /// times are monotone and each seq is held at most once, so lazy
+  /// front-pruning is exact.
   std::deque<std::pair<std::uint64_t, sim::TimePoint>> arrivals_;
   sim::EventId timer_ = sim::kInvalidEventId;  // the skip timer
   Stats stats_;

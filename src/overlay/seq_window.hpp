@@ -1,4 +1,4 @@
-// Seq-indexed sender window for the link protocols.
+// Seq-indexed sender and receiver windows for the link protocols.
 //
 // Every ARQ-style sender keeps per-message state keyed by its link-level
 // sequence number: the realtime sender's retransmission history, the
@@ -11,6 +11,7 @@
 // allocates nothing (an ordered map spends one tree node per message).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -50,13 +51,16 @@ class SeqWindow {
     std::uint64_t seq_;
   };
 
-  /// Stores `value` under `seq`. Seqs arrive in increasing order: `seq` is
-  /// above every seq stored before; skipped seqs are holes.
+  /// Stores `value` under `seq`, which must not be live. Seqs may come in any
+  /// order: the ring spans the live seqs, from the front; skipped seqs are holes.
   void put(std::uint64_t seq, T value) {
-    SON_DCHECK(seq >= end_, "SeqWindow seqs must be stored in increasing order");
-    if (live_ == 0) base_ = seq;  // every slot is empty: restart the window here
-    if (seq - base_ >= slots_.size()) grow(seq - base_ + 1);
-    end_ = seq + 1;
+    if (live_ == 0) base_ = end_ = seq;  // every slot is empty: restart the window here
+    const std::uint64_t lo = std::min(base_, seq);
+    const std::uint64_t hi = std::max(end_, seq + 1);
+    if (hi - lo > slots_.size()) grow(hi - lo);
+    base_ = lo;
+    end_ = hi;
+    SON_DCHECK(!slot(seq), "SeqWindow::put on a live seq");
     ++live_;
     slot(seq) = std::move(value);
   }
@@ -78,7 +82,9 @@ class SeqWindow {
     if (seq == base_) trim();
   }
 
-  /// Erases every entry with a seq at or below `seq`.
+  /// Erases every entry with a seq at or below `seq`. It costs only the seqs
+  /// it passes: the holes above them (a receiver's missing seqs, which may
+  /// run up to an entry far ahead) are skipped when begin() next needs to.
   void erase_through(std::uint64_t seq) {
     for (; base_ < end_ && base_ <= seq; ++base_) {
       auto& s = slot(base_);
@@ -87,7 +93,6 @@ class SeqWindow {
         --live_;
       }
     }
-    trim();
   }
 
   /// Live entries (holes do not count).
@@ -96,7 +101,13 @@ class SeqWindow {
   /// The lowest live entry; the window must not be empty.
   [[nodiscard]] Entry front() { return *begin(); }
 
-  [[nodiscard]] iterator begin() { return iterator{this, live_ == 0 ? end_ : base_}; }
+  /// One past the highest stored seq (stays put when the top is erased).
+  [[nodiscard]] std::uint64_t end_seq() const { return end_; }
+
+  [[nodiscard]] iterator begin() {
+    trim();
+    return iterator{this, base_};
+  }
   [[nodiscard]] iterator end() { return iterator{this, end_}; }
 
  private:
@@ -104,8 +115,8 @@ class SeqWindow {
     return slots_[static_cast<std::size_t>(seq) & (slots_.size() - 1)];
   }
 
-  /// Advances base_ past the holes at the front, so base_ is always live
-  /// (or equal to end_ when the window is empty).
+  /// Advances base_ past the holes at the front, onto the lowest live seq
+  /// (or to end_ when the window is empty).
   void trim() {
     if (live_ == 0) {
       base_ = end_;
@@ -129,9 +140,87 @@ class SeqWindow {
   }
 
   std::vector<std::optional<T>> slots_;  // size is 0 or a power of two
-  std::uint64_t base_ = 0;  // lowest live seq (== end_ when empty)
+  std::uint64_t base_ = 0;  // no live seq below (the lowest, but for erase_through)
   std::uint64_t end_ = 0;   // one past the highest stored seq
   std::size_t live_ = 0;
+};
+
+/// How far above its floor a RecvWindow tracks a seq. Each receiver handles
+/// a seq beyond it in one defined way: the reliable links refuse it; realtime
+/// and the reorder buffer give up the seqs that fall out of the span.
+inline constexpr std::uint64_t kMaxRecvSpan = std::uint64_t{1} << 16;
+
+/// The receivers' twin of SeqWindow: every seq at or below floor() is done,
+/// and the entries above it (out-of-order arrivals, or seqs in recovery) live
+/// in a SeqWindow, anchored at a stored seq, never at the floor, so a lone
+/// far-ahead entry costs one slot. An arrival taken at floor() + 1 never
+/// enters the ring, and raising the floor walks only the seqs it passes, so
+/// such an entry adds no work to the arrivals below it.
+template <typename T>
+class RecvWindow {
+ public:
+  [[nodiscard]] std::uint64_t floor() const { return floor_; }
+  /// The highest seq ever stored, or the floor if that is higher.
+  [[nodiscard]] std::uint64_t top() const { return std::max(floor_ + 1, entries_.end_seq()) - 1; }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  /// The entry for `seq`, or nullptr (at or below the floor, or not stored).
+  [[nodiscard]] T* find(std::uint64_t seq) { return entries_.find(seq); }
+  /// Whether `seq`, above the floor, lies within kMaxRecvSpan of it.
+  [[nodiscard]] bool in_span(std::uint64_t seq) const { return seq - floor_ <= kMaxRecvSpan; }
+
+  /// Takes `value` for `seq` (above the floor, in span, not stored): the
+  /// floor passes it at once if it lies directly above and `take(value)`
+  /// returns true, else it is stored. Then advance(take).
+  template <typename Take>
+  void put(std::uint64_t seq, T value, Take&& take) {
+    SON_DCHECK(seq > floor_ && in_span(seq), "RecvWindow::put outside the span");
+    if (seq == floor_ + 1 && take(value)) {
+      entries_.erase_through(++floor_);
+    } else {
+      entries_.put(seq, std::move(value));
+    }
+    advance(take);
+  }
+
+  /// Raises the floor over the entries directly above it, in ascending
+  /// order, while `take(value)` returns true; each taken entry is erased.
+  template <typename Take>
+  void advance(Take&& take) {
+    for (T* v = entries_.find(floor_ + 1); v != nullptr && take(*v);
+         v = entries_.find(floor_ + 1)) {
+      entries_.erase_through(++floor_);
+    }
+  }
+
+  /// Raises the floor to `seq`, first handing each entry at or below it to
+  /// `f(value)` in ascending order. Returns how many of the seqs given up
+  /// held no entry. Costs one probe per seq passed up to top().
+  template <typename F>
+  std::uint64_t give_up_through(std::uint64_t seq, F&& f) {
+    if (seq <= floor_) return 0;
+    std::uint64_t missing = seq - floor_;
+    for (std::uint64_t s = floor_ + 1, last = std::min(seq, top()); s <= last; ++s) {
+      if (T* v = entries_.find(s)) {
+        f(*v);
+        --missing;
+      }
+    }
+    entries_.erase_through(seq);
+    floor_ = seq;
+    return missing;
+  }
+
+  /// Appends the seqs missing between the floor and top() to `out`, lowest
+  /// first, until `out` holds `cap`.
+  void holes(std::vector<std::uint64_t>& out, std::size_t cap) {
+    for (std::uint64_t s = floor_ + 1, last = top(); s < last && out.size() < cap; ++s) {
+      if (entries_.find(s) == nullptr) out.push_back(s);
+    }
+  }
+
+ private:
+  std::uint64_t floor_ = 0;
+  SeqWindow<T> entries_;
 };
 
 }  // namespace son::overlay

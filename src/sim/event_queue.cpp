@@ -84,7 +84,9 @@ bool EventQueue::cancel(EventId id) {
   if (s->owner != nullptr) unlink(*s);
   s->armed = false;
   s->cb.reset();
-  --live_;
+  // With nothing left pending, no next_time() or fire_next() may come to
+  // retire the cancelled entries: retire them now.
+  if (--live_ == 0) skip_cancelled();
   return true;
 }
 

@@ -15,8 +15,8 @@
 // relocate its own closure.
 //
 // Cancellation is lazy: a cancelled event's callback is destroyed
-// immediately, but its heap entry stays and is skipped when it surfaces; the
-// slot is recycled at that point.
+// immediately, but its heap entry stays and is skipped when it surfaces, or
+// when the last pending event is cancelled; the slot is recycled at that point.
 //
 // An event may be scheduled for an Owner (see sim/timers.hpp). Its slot then
 // records the owner and sits on the owner's intrusive list of pending

@@ -307,6 +307,25 @@ TEST(ReorderBuffer, MultipleGapsSequentialTimeouts) {
   EXPECT_EQ(f.buf.stats().skipped_missing, 3u);  // 1, 3, 4
 }
 
+// A rebuilt buffer (its node restarted) meets a long-running flow: the
+// first seq it sees is far above its floor of 0. It is held, then delivered
+// at max_hold with every seq below it counted as skipped.
+TEST(ReorderBuffer, FreshBufferHoldsAFarAheadFirstSeq) {
+  ReorderFixture f;
+  constexpr std::uint64_t kSeq = 10'000'000;
+  f.buf.push(f.msg(kSeq));
+  f.buf.push(f.msg(kSeq + 1));
+  EXPECT_TRUE(f.delivered.empty());
+  EXPECT_EQ(f.buf.stats().held, 2u);
+  f.sim.run_for(49_ms);
+  EXPECT_TRUE(f.delivered.empty());
+  f.sim.run_for(2_ms);
+  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{kSeq, kSeq + 1}));
+  EXPECT_EQ(f.buf.stats().skipped_missing, kSeq - 1);
+  f.buf.push(f.msg(kSeq + 2));
+  EXPECT_EQ(f.delivered.back(), kSeq + 2);
+}
+
 // ---- Message helpers -----------------------------------------------------------
 
 TEST(Message, AuthBytesChangeWithHeaderAndPayload) {

@@ -17,6 +17,14 @@
 //    that expired early (its trigger had little deadline left) jumped the
 //    floor over an earlier gap still in recovery, whose retransmission was
 //    then dropped as a duplicate.
+//  - A realtime data frame far ahead of the floor noted every seq below it
+//    as a gap (n request timers, an expiry timer and a map node each, with n
+//    read from the frame's header), so one injected frame cost work linear
+//    in its distance. A frame now notes at most kRtMaxNewGaps gaps, with at
+//    most kRtMaxRequests requests each, and gives up the seqs below them.
+//    Receive windows track at most kMaxRecvSpan seqs above their floor; the
+//    reliable links refuse a seq beyond that instead of letting it inflate
+//    every later ack's nack list.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -24,6 +32,7 @@
 #include "fake_link.hpp"
 #include "net/loss_model.hpp"
 #include "overlay/dedup.hpp"
+#include "overlay/it_fair.hpp"
 #include "overlay/realtime.hpp"
 #include "overlay/reliable_link.hpp"
 #include "overlay/reorder_buffer.hpp"
@@ -171,26 +180,32 @@ class CaptureCtx final : public LinkContext {
   Simulator& simulator() override { return sim_; }
   sim::Rng& rng() override { return rng_; }
   void send_frame(LinkFrame f) override { sent.push_back(std::move(f)); }
-  bool deliver_up(Message, LinkBit) override { return true; }
+  bool deliver_up(Message, LinkBit) override {
+    ++delivered;
+    return true;
+  }
   [[nodiscard]] Duration rtt_estimate() const override { return 10_ms; }
   [[nodiscard]] NodeId self() const override { return 1; }
   [[nodiscard]] NodeId peer() const override { return 0; }
   [[nodiscard]] LinkBit link() const override { return 0; }
-  void count_protocol_drop(LinkProtocol) override {}
+  void count_protocol_drop(LinkProtocol) override { ++protocol_drops; }
 
   std::vector<LinkFrame> sent;
+  std::uint64_t delivered = 0;
+  std::uint64_t protocol_drops = 0;
 
  private:
   Simulator& sim_;
   sim::Rng rng_{1};
 };
 
-LinkFrame data_frame(std::uint64_t seq, sim::TimePoint now) {
+LinkFrame data_frame(std::uint64_t seq, sim::TimePoint now,
+                     LinkProtocol proto = LinkProtocol::kReliable) {
   LinkFrame df;
   df.link = 0;
   df.from = 0;
   df.to = 1;
-  df.proto = LinkProtocol::kReliable;
+  df.proto = proto;
   df.type = FrameType::kData;
   df.seq = seq;
   df.msg = make_msg(seq, now);
@@ -232,6 +247,72 @@ TEST(ReliableBugfix, NackListIsExactForSmallGaps) {
   EXPECT_EQ(ack.cum_ack, 4u);
   EXPECT_EQ(ack.seq, 15u);
   EXPECT_EQ(ack.ids, (std::vector<std::uint64_t>{5, 10}));
+}
+
+TEST(ReliableBugfix, SeqBeyondTheSpanIsRefused) {
+  Simulator sim;
+  CaptureCtx ctx{sim};
+  ReliableLinkEndpoint ep{ctx, {}};
+  for (const std::uint64_t s : {1, 2, 3, 5}) ep.on_frame(data_frame(s, sim.now()));
+  sim.run_for(5_ms);
+  ASSERT_EQ(ctx.sent.size(), 1u);
+  EXPECT_EQ(ctx.sent[0].ids, (std::vector<std::uint64_t>{4}));
+
+  // Floor 3: seq 3 + kMaxRecvSpan is the last one tracked, one more is not.
+  // Before the bound it set the highest-seen seq, and every later ack nacked
+  // the holes up to it.
+  ep.on_frame(data_frame(3 + kMaxRecvSpan + 1, sim.now()));
+  sim.run_for(5_ms);
+  EXPECT_EQ(ctx.sent.size(), 1u) << "a refused frame is not acked";
+  EXPECT_EQ(ctx.delivered, 4u);
+  EXPECT_EQ(ctx.protocol_drops, 1u);
+  EXPECT_EQ(ep.stats().duplicates_received, 0u);
+
+  ep.on_frame(data_frame(6, sim.now()));
+  sim.run_for(5_ms);
+  ASSERT_EQ(ctx.sent.size(), 2u);
+  EXPECT_EQ(ctx.sent[1].cum_ack, 3u);
+  EXPECT_EQ(ctx.sent[1].seq, 6u);
+  EXPECT_EQ(ctx.sent[1].ids, (std::vector<std::uint64_t>{4}));
+  ep.on_frame(data_frame(4, sim.now()));
+  ep.on_frame(data_frame(7, sim.now()));
+  sim.run_for(5_ms);
+  ASSERT_EQ(ctx.sent.size(), 3u);
+  EXPECT_EQ(ctx.sent[2].cum_ack, 7u);
+  EXPECT_TRUE(ctx.sent[2].ids.empty());
+  EXPECT_EQ(ctx.delivered, 7u);
+  // Once the floor has moved, the sender's retransmission is in span.
+  ep.on_frame(data_frame(3 + kMaxRecvSpan + 1, sim.now()));
+  EXPECT_EQ(ctx.delivered, 8u);
+  EXPECT_EQ(ctx.protocol_drops, 1u);
+}
+
+TEST(ItReliableBugfix, SeqBeyondTheSpanIsRefused) {
+  Simulator sim;
+  CaptureCtx ctx{sim};
+  ItReliableEndpoint ep{ctx, {}};
+  const auto frame = [&](std::uint64_t seq) {
+    return data_frame(seq, sim.now(), LinkProtocol::kITReliable);
+  };
+  for (const std::uint64_t s : {1, 2, 4}) ep.on_frame(frame(s));
+  ASSERT_EQ(ctx.sent.size(), 3u);  // one ack per admitted message
+
+  ep.on_frame(frame(2 + kMaxRecvSpan + 1));  // floor 2
+  EXPECT_EQ(ctx.sent.size(), 3u) << "a refused frame is neither acked nor answered busy";
+  EXPECT_EQ(ctx.delivered, 3u);
+  EXPECT_EQ(ctx.protocol_drops, 1u);
+
+  ep.on_frame(frame(3));
+  ASSERT_EQ(ctx.sent.size(), 4u);
+  EXPECT_EQ(ctx.sent[3].type, FrameType::kAck);
+  EXPECT_EQ(ctx.sent[3].seq, 3u);
+  EXPECT_EQ(ctx.delivered, 4u);
+  // Floor 4 now: the retransmission is in span and admitted.
+  ep.on_frame(frame(2 + kMaxRecvSpan + 1));
+  ASSERT_EQ(ctx.sent.size(), 5u);
+  EXPECT_EQ(ctx.sent[4].type, FrameType::kAck);
+  EXPECT_EQ(ctx.delivered, 5u);
+  EXPECT_EQ(ctx.protocol_drops, 1u);
 }
 
 /// Drops a→b frames by transmission index (1-based).
@@ -342,6 +423,54 @@ TEST(RealtimeBugfix, GapExpiryGivesUpOnlyThatSeq) {
   EXPECT_EQ(b->stats().duplicates, 0u);
   ASSERT_EQ(pair.ctx_b().delivered.size(), 4u);
   EXPECT_EQ(pair.ctx_b().delivered.back().hdr.flow_seq, 2u);
+}
+
+/// Hands a realtime receiver seq 1, then two frames, each `jump` seqs above
+/// the last, whose headers ask for `nm_requests` requests per gap. Each far
+/// frame gives up at once every seq more than kRtMaxNewGaps below it and
+/// notes the rest as gaps, each with `timers_per_gap` timers.
+template <typename Endpoint>
+void far_ahead_frames(std::uint8_t nm_requests, std::uint64_t jump, std::uint64_t timers_per_gap) {
+  Simulator sim;
+  FakeLinkPair pair{sim, 10_ms, 0.0};
+  Endpoint b{pair.ctx_b(), LinkProtocolConfig{}};
+  pair.attach(nullptr, &b);  // b's requests go nowhere
+  const auto frame = [&](std::uint64_t seq) {
+    LinkFrame f;
+    f.from = 0;
+    f.to = 1;
+    f.proto = b.protocol();
+    f.type = FrameType::kData;
+    f.seq = seq;
+    f.msg = make_msg(seq, sim.now());
+    f.msg->hdr.nm_requests = nm_requests;
+    return f;
+  };
+  b.on_frame(frame(1));
+  std::uint64_t far = 1;
+  for (std::uint64_t i = 1; i <= 2; ++i) {
+    far += jump;
+    b.on_frame(frame(far));
+    // Before the bound the first frame noted jump - 1 gaps, n + 1 timers each.
+    ASSERT_EQ(sim.pending_events(), kRtMaxNewGaps * timers_per_gap) << "far frame " << i;
+    ASSERT_EQ(pair.ctx_b().delivered.size(), i + 1);
+    EXPECT_EQ(pair.ctx_b().delivered.back().hdr.flow_seq, far);
+    // Seqs 2 .. far - kRtMaxNewGaps - 1 were given up, bar the far frames before.
+    EXPECT_EQ(b.stats().expired_unrecovered, far - kRtMaxNewGaps - 2 - (i - 1));
+  }
+  // A seq given up is a duplicate; the gaps still noted recover.
+  b.on_frame(frame(far - kRtMaxNewGaps - 1));
+  EXPECT_EQ(b.stats().duplicates, 1u);
+  b.on_frame(frame(far - 1));
+  EXPECT_EQ(b.stats().recovered, 1u);
+  EXPECT_EQ(pair.ctx_b().delivered.size(), 4u);
+}
+
+TEST(RealtimeBugfix, FarAheadSeqWorkIsBounded) {
+  // One request and one expiry timer per gap.
+  far_ahead_frames<RealtimeSimpleEndpoint>(3, 4 * kMaxRecvSpan, 2);
+  // The header's 255 requests per gap are capped at kRtMaxRequests.
+  far_ahead_frames<RealtimeNMEndpoint>(255, 2048, kRtMaxRequests + 1);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <memory>
 #include <vector>
 
+#include "sim/alloc_probe.hpp"
+
 namespace son::sim {
 namespace {
 
@@ -142,12 +144,35 @@ TEST(EventQueue, StaleIdCannotCancelSlotsNextOccupant) {
 TEST(EventQueue, CancelledIdStaysStaleAfterSlotReuse) {
   EventQueue q;
   const EventId a = q.schedule(at(10), []() {});
-  EXPECT_TRUE(q.cancel(a));
-  std::ignore = q.schedule(at(5), []() {});  // new slot; cancelled entry still in heap
-  (void)fire_one(q);           // surfaces + retires the cancelled entry too
+  EXPECT_TRUE(q.cancel(a));    // the last pending event: its entry retires now
+  std::ignore = q.schedule(at(5), []() {});  // may reuse a's slot
+  (void)fire_one(q);
   int fired = 0;
   std::ignore = q.schedule(at(30), [&]() { ++fired; });  // may reuse a's slot
   EXPECT_FALSE(q.cancel(a));
+  drain(q);
+  EXPECT_EQ(fired, 1);
+}
+
+// With nothing pending, no next_time() or fire_next() comes to retire
+// cancelled entries as they surface, so cancel() retires them when the last
+// pending event goes: timers set and cancelled on an otherwise idle queue
+// reuse their slots instead of piling up in the heap and the pool.
+TEST(EventQueue, CancellingTheLastPendingEventRetiresTheCancelledEntries) {
+  EventQueue q;
+  const auto set_and_cancel = [&q](std::int64_t ms) {
+    const EventId a = q.schedule(at(ms), []() {});
+    const EventId b = q.schedule(at(ms + 100), []() {});
+    EXPECT_TRUE(q.cancel(b));
+    EXPECT_TRUE(q.cancel(a));
+  };
+  set_and_cancel(0);
+  const std::uint64_t before = alloc_count();
+  for (int i = 1; i <= 10'000; ++i) set_and_cancel(i);
+  EXPECT_EQ(alloc_count() - before, 0u);
+  EXPECT_TRUE(q.empty());
+  int fired = 0;
+  std::ignore = q.schedule(at(5), [&]() { ++fired; });
   drain(q);
   EXPECT_EQ(fired, 1);
 }
